@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import pytest
 
+from repro.experiments.ablations import _FlatEfficiencyStepModel
 from repro.hardware.gpus import H100_SXM
+from repro.models.config import AttentionKind
 from repro.models.zoo import (
     DEEPSEEK_VL2_TINY,
     MIXTRAL_8X7B,
     OLMOE_1B_7B,
     QWEN3_0_6B,
+    get_model,
+    list_models,
 )
-from repro.optim.quantization import FP8_CONFIG
-from repro.parallel.plan import ParallelPlan
+from repro.optim.quantization import FP8_CONFIG, FP16_CONFIG
+from repro.parallel.plan import SINGLE_DEVICE, ParallelPlan
 from repro.perfmodel.phases import StepModel
 
 
@@ -129,3 +136,78 @@ class TestOptimizationEffects:
 
     def test_vision_encode_zero_for_llm(self):
         assert StepModel(OLMOE_1B_7B, H100_SXM).vision_encode_time(4) == 0.0
+
+
+# --------------------------------------------------------------------- #
+# golden breakdown digest
+# --------------------------------------------------------------------- #
+
+_GOLDEN_PLANS = (
+    SINGLE_DEVICE, ParallelPlan(tp=2), ParallelPlan(tp=4, ep=4),
+    ParallelPlan(tp=4, pp=2), ParallelPlan(tp=8, ep=4),
+)
+_GOLDEN_SHAPES = (
+    # (num_tokens, batch, kv_len, phase, attended_len)
+    (128, 1, 128, "prefill", 64.5),
+    (1536, 3, 700 / 3, "prefill", (700 / 3 + 1) / 2.0),
+    (1, 1, 1, "decode", None),
+    (16, 16, 1024, "decode", None),
+    (256, 256, 4096, "decode", None),
+)
+_GOLDEN_DIGEST = "97cdadff79c1888f6c8b416be1e2e91e5ea5ffbcba4a12bc5d8d29eb6a581bb8"
+
+
+def _windowed(model, window):
+    att = dataclasses.replace(model.attention, sliding_window=window)
+    return dataclasses.replace(model, attention=att)
+
+
+def _golden_step_models():
+    """Every zoo model x each valid plan x FP16/FP8 x fused on/off (x
+    ``mla_native`` for MLA models), then the flat-efficiency ablation and
+    a sliding-window variant, in a fixed order."""
+    def build(cls, model, plan, **kw):
+        try:
+            return cls(model, H100_SXM, plan, **kw)
+        except ValueError:
+            return None  # plan invalid for this model
+
+    for name in list_models():
+        model = get_model(name)
+        mla = (False, True) if model.attention.kind is AttentionKind.MLA \
+            else (False,)
+        for plan in _GOLDEN_PLANS:
+            for quant in (FP16_CONFIG, FP8_CONFIG):
+                for fused in (True, False):
+                    for mla_native in mla:
+                        yield build(StepModel, model, plan, quant=quant,
+                                    fused_moe=fused, mla_native=mla_native)
+            yield build(_FlatEfficiencyStepModel, model, plan)
+    for plan in _GOLDEN_PLANS:
+        yield build(StepModel, _windowed(MIXTRAL_8X7B, 512), plan)
+
+
+def _breakdown_digest() -> str:
+    h = hashlib.sha256()
+    for steps in _golden_step_models():
+        if steps is None:
+            h.update(b"invalid;")
+            continue
+        for shape in _GOLDEN_SHAPES:
+            bd = steps.step_breakdown(*shape)
+            values = [*bd.components.items(),
+                      *(("sub." + k, v) for k, v in bd.subcomponents.items()),
+                      ("comm", bd.comm), ("pipeline", bd.pipeline),
+                      ("overhead", bd.overhead), ("total", bd.total)]
+            for name, value in values:
+                h.update(f"{name}={float(value).hex()};".encode())
+    return h.hexdigest()
+
+
+class TestGoldenBreakdown:
+    def test_breakdown_bits_match_recorded_digest(self):
+        """``float.hex`` of every breakdown field over a fixed deployment x
+        shape grid, hashed: any change to a simulated bit anywhere in the
+        step model — including components no BENCH digest reads — fails
+        here.  Re-record only for an intended model change."""
+        assert _breakdown_digest() == _GOLDEN_DIGEST
