@@ -13,12 +13,10 @@ from repro.core.experiment import ExperimentResult
 from repro.core.registry import experiment
 from repro.core.results import ResultTable
 from repro.experiments.common import H100, perf_model
-from repro.hardware.roofline import KernelCost, kernel_time
 from repro.models.zoo import MIXTRAL_8X7B, get_model
 from repro.moe.routing_math import expected_expert_coverage
 from repro.parallel.expert_parallel import simulate_ep_imbalance
 from repro.parallel.plan import ParallelPlan
-from repro.perfmodel.flops import ComponentCost
 from repro.perfmodel.inference import InferencePerfModel
 from repro.perfmodel.phases import StepModel
 from repro.serving.engine import serve_static_batch
@@ -67,21 +65,8 @@ def run_coverage() -> ExperimentResult:
 class _FlatEfficiencyStepModel(StepModel):
     """StepModel variant with a flat (shape-independent) GEMM efficiency."""
 
-    def _component_time(self, cost: ComponentCost, shard: float = 1.0,
-                        kv_shard: float = 1.0, dtype: str | None = None) -> float:
-        if cost.launches == 0 and cost.flops == 0 and cost.bytes == 0:
-            return 0.0
-        w_bytes = cost.weight_bytes / shard
-        if self.quant.weights.is_quantized:
-            w_bytes /= self.hardware.quant_mem_derate
-        a_bytes = cost.act_bytes / kv_shard if kv_shard != 1.0 else cost.act_bytes / shard
-        kc = KernelCost(
-            flops=cost.flops / shard,
-            bytes=w_bytes + a_bytes,
-            dtype=dtype if dtype is not None else self.quant.compute_dtype_name,
-            launches=cost.launches,
-        )
-        return kernel_time(kc, self.hardware)  # flat max efficiency
+    def _gemm_eff(self, m, n, k):
+        return self.hardware.max_gemm_efficiency
 
 
 @experiment("ablation_efficiency")

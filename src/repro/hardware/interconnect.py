@@ -65,8 +65,13 @@ def allreduce_time(message_bytes: float, num_devices: int, hw: HardwareSpec) -> 
     _check(message_bytes, num_devices)
     if num_devices == 1 or message_bytes == 0:
         return 0.0
+    return _allreduce_time(message_bytes, num_devices, hw)
+
+
+def _allreduce_time(message_bytes, n: int, hw: HardwareSpec):
+    """Unchecked :func:`allreduce_time` (``n > 1``; the message may be
+    a float64 array)."""
     link = require_interconnect(hw)
-    n = num_devices
     volume = 2.0 * (n - 1) / n * message_bytes
     return volume / (link.link_bandwidth_gbps * 1e9) + 2 * (n - 1) * link.latency_us * 1e-6
 
@@ -99,8 +104,12 @@ def all_to_all_time(message_bytes: float, num_devices: int, hw: HardwareSpec) ->
     _check(message_bytes, num_devices)
     if num_devices == 1 or message_bytes == 0:
         return 0.0
+    return _all_to_all_time(message_bytes, num_devices, hw)
+
+
+def _all_to_all_time(message_bytes, n: int, hw: HardwareSpec):
+    """Unchecked :func:`all_to_all_time` (``n > 1``; array-safe)."""
     link = require_interconnect(hw)
-    n = num_devices
     volume = (n - 1) / n * message_bytes
     return volume / (link.link_bandwidth_gbps * 1e9) + (n - 1) * link.latency_us * 1e-6
 
@@ -111,5 +120,10 @@ def p2p_time(message_bytes: float, hw: HardwareSpec) -> float:
         raise ValueError("message_bytes must be non-negative")
     if message_bytes == 0:
         return 0.0
+    return _p2p_time(message_bytes, hw)
+
+
+def _p2p_time(message_bytes, hw: HardwareSpec):
+    """Unchecked :func:`p2p_time` (array-safe)."""
     link = require_interconnect(hw)
     return message_bytes / (link.link_bandwidth_gbps * 1e9) + link.latency_us * 1e-6

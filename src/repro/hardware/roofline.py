@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.hardware.spec import HardwareSpec
 
 __all__ = ["KernelCost", "gemm_efficiency", "kernel_time", "gemm_cost",
@@ -28,6 +30,36 @@ __all__ = ["KernelCost", "gemm_efficiency", "kernel_time", "gemm_cost",
 _M_HALF = 256.0
 # Granularity penalty when inner dims are not multiples of the tile width.
 _TILE = 64
+_QUANT_DTYPES = ("fp8_e4m3", "int8", "int4")
+
+
+# The unchecked formulas below (and the step model built on them) run on
+# plain Python floats and on float64 arrays — a whole sweep axis of step
+# shapes in one pass.  IEEE-754 ops on float64 arrays are elementwise
+# identical to the same ops on Python floats, and max/min select the same
+# value as maximum/minimum on the positive finite operands used here, so
+# both input kinds produce the same bits.  These helpers absorb the only
+# array-specific constructs:
+
+def _maximum(a, b):
+    """Elementwise/scalar max (operands are finite and never -0.0)."""
+    return np.maximum(a, b) if isinstance(a, np.ndarray) or \
+        isinstance(b, np.ndarray) else max(a, b)
+
+
+def _minimum(a, b):
+    """Elementwise/scalar min (operands are finite and never -0.0)."""
+    return np.minimum(a, b) if isinstance(a, np.ndarray) or \
+        isinstance(b, np.ndarray) else min(a, b)
+
+
+def _map(fn, x):
+    """Apply the scalar function ``fn`` per element.  Transcendental and
+    floor-division terms go through it in both modes: NumPy's ufunc
+    variants are not guaranteed to round like the Python scalar ops."""
+    if isinstance(x, np.ndarray):
+        return np.array([fn(float(v)) for v in x])
+    return fn(float(x))
 
 
 @dataclass(frozen=True)
@@ -64,14 +96,19 @@ def gemm_efficiency(m: float, n: float, k: float, hw: HardwareSpec) -> float:
     """
     if m <= 0 or n <= 0 or k <= 0:
         raise ValueError(f"GEMM dims must be positive, got ({m}, {n}, {k})")
+    return _gemm_efficiency(m, n, k, hw)
+
+
+def _tile_quant(d: float) -> float:
+    # work is issued in TILE-wide chunks; a 65-wide dim pays for 128
+    tiles = -(-d // _TILE)  # ceil division
+    return d / (tiles * _TILE)
+
+
+def _gemm_efficiency(m, n, k, hw: HardwareSpec):
+    """Unchecked :func:`gemm_efficiency`; ``m`` and ``n`` may be arrays."""
     sat = m / (m + _M_HALF)
-
-    def tile_quant(d: float) -> float:
-        # work is issued in TILE-wide chunks; a 65-wide dim pays for 128
-        tiles = -(-d // _TILE)  # ceil division
-        return d / (tiles * _TILE)
-
-    gran = tile_quant(n) * tile_quant(k)
+    gran = _map(_tile_quant, n) * _map(_tile_quant, k)
     return hw.max_gemm_efficiency * sat * gran
 
 
@@ -85,11 +122,19 @@ def kernel_time(cost: KernelCost, hw: HardwareSpec, efficiency: float | None = N
     eff = hw.max_gemm_efficiency if efficiency is None else efficiency
     if eff <= 0:
         raise ValueError("efficiency must be positive")
-    if cost.dtype in ("fp8_e4m3", "int8", "int4"):
-        eff *= hw.quant_gemm_derate
-    t_compute = cost.flops / (hw.peak_flops_per_s(cost.dtype) * eff) if cost.flops else 0.0
-    t_memory = cost.bytes / hw.mem_bytes_per_s if cost.bytes else 0.0
-    return max(t_compute, t_memory) + cost.launches * hw.kernel_launch_us * 1e-6
+    return _kernel_time(cost.flops, cost.bytes, cost.dtype, cost.launches,
+                        eff, hw)
+
+
+def _kernel_time(flops, bytes_, dtype: str, launches: int, eff,
+                 hw: HardwareSpec):
+    """Unchecked :func:`kernel_time`; ``flops``, ``bytes_`` and ``eff``
+    may be arrays.  A zero term divides to an exact ``0.0``."""
+    if dtype in _QUANT_DTYPES:
+        eff = eff * hw.quant_gemm_derate
+    t_compute = flops / (hw.peak_flops_per_s(dtype) * eff)
+    t_memory = bytes_ / hw.mem_bytes_per_s
+    return _maximum(t_compute, t_memory) + launches * hw.kernel_launch_us * 1e-6
 
 
 def arithmetic_intensity(cost: KernelCost) -> float:
@@ -103,7 +148,7 @@ def is_memory_bound(cost: KernelCost, hw: HardwareSpec,
                     efficiency: float | None = None) -> bool:
     """Whether the memory term dominates this kernel's roofline time."""
     eff = hw.max_gemm_efficiency if efficiency is None else efficiency
-    if cost.dtype in ("fp8_e4m3", "int8", "int4"):
+    if cost.dtype in _QUANT_DTYPES:
         eff *= hw.quant_gemm_derate
     t_compute = cost.flops / (hw.peak_flops_per_s(cost.dtype) * eff) if cost.flops else 0.0
     t_memory = cost.bytes / hw.mem_bytes_per_s if cost.bytes else 0.0

@@ -1,15 +1,16 @@
 """repro.lint — static analysis that proves the simulator's invariants.
 
-Four rule families, all AST-based (nothing executes):
+Rule families, all AST-based (nothing executes):
 
 * **DET0xx** determinism: no wall clocks, unseeded RNG, or set-order
   iteration outside the wall channel (bit-identical fingerprints);
 * **UNIT0xx** unit consistency: suffix-inferred dimensional analysis of
   the roofline arithmetic in ``repro.perfmodel`` / ``repro.hardware``;
-* **PAR0xx** fast-path parity: the scalar :class:`StepModel` and its
-  vectorized mirror must change together (snapshot + literal mirroring);
 * **REG0xx** registry drift: experiments ↔ BENCH baselines ↔
-  EXPERIMENTS.md ↔ CLI surface.
+  EXPERIMENTS.md ↔ CLI surface;
+* **OBS0xx** observability conventions and **SUP001** stale suppressions;
+* **DET1xx / UNIT1xx** the whole-program flow analyses of
+  :mod:`repro.lint.flow`.
 
 Entry points: ``repro lint`` (CLI, the CI gate) and :func:`run_lint`
 (programmatic).  See ``docs/lint.md``.

@@ -2,8 +2,8 @@
 
 ``repro.lint`` proves the simulator's review-time invariants statically:
 determinism (no wall clocks or unseeded RNG outside the wall channel),
-dimensional consistency of the roofline arithmetic, scalar↔vectorized
-fast-path parity, and experiment-registry drift.  Rules are AST-based and
+dimensional consistency of the roofline arithmetic, and
+experiment-registry drift.  Rules are AST-based and
 run over the committed source only — no experiment needs to execute.
 
 Vocabulary
@@ -149,7 +149,7 @@ class LintProject:
     """The lintable universe: parsed sources plus repo-root artifacts.
 
     ``root`` is the repository root (where ``BENCH_*.json``,
-    ``EXPERIMENTS.md`` and the lint baseline/parity manifests live);
+    ``EXPERIMENTS.md`` and the lint baseline live);
     sources are collected from ``root/src/repro`` by default.
     """
 
@@ -283,12 +283,11 @@ def _ensure_loaded() -> None:
     from repro.lint import (  # noqa: F401
         determinism,
         obs,
-        parity,
         registry,
         suppressions,
         units,
     )
-    from repro.lint.flow import coverage, taint, unitflow  # noqa: F401
+    from repro.lint.flow import taint, unitflow  # noqa: F401
 
 
 def all_rules() -> list[Rule]:

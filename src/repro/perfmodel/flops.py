@@ -4,6 +4,9 @@ Each function returns a :class:`ComponentCost` describing one logical
 component of a decoder layer (projections, attention core, router, routed
 experts, ...) for a step that processes ``m`` new tokens.  The phase model
 (:mod:`repro.perfmodel.phases`) converts these into times via the roofline.
+The step shape (``m``, ``batch``, ``kv_len``, ``attended_len``) may be a
+Python float or a float64 array over a sweep axis; both give the same bits
+(see :mod:`repro.hardware.roofline`).
 
 The routing statistics that shape the MoE cost (expert coverage, EP load
 imbalance) live in :mod:`repro.moe.routing_math` and are re-exported here.
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.hardware.roofline import _map, _maximum, _minimum
 from repro.models.config import AttentionKind, ModelConfig
 from repro.models.params import attention_params
 from repro.moe.routing_math import (
@@ -36,13 +40,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass
 class ComponentCost:
     """Raw cost of one component of one layer for one step.
 
     ``gemm_m/n/k`` describe the dominant GEMM shape (for the efficiency
-    curve); a component without a meaningful GEMM sets them to 0 and is
-    treated as memory-bound.
+    curve); a component without a meaningful GEMM sets them to 0
+    (``gemm_k == 0``) and runs at the hardware's flat peak efficiency.
+
+    Treat instances as immutable.  The class is not frozen because a
+    frozen dataclass takes about three times as long to construct, and
+    the step model builds seven of these for every step it prices.
     """
 
     name: str
@@ -102,8 +110,9 @@ def attention_core_cost(
         attended_len = kv_len
     # sliding-window attention bounds both the attended span and the
     # rolling KV buffer each sequence keeps resident
-    kv_len = att.effective_kv_len(kv_len)
-    attended_len = att.effective_kv_len(attended_len)
+    if att.sliding_window > 0:
+        kv_len = _minimum(kv_len, float(att.sliding_window))
+        attended_len = _minimum(attended_len, float(att.sliding_window))
     if att.kind is AttentionKind.MLA:
         d_qk = att.qk_nope_head_dim + att.qk_rope_head_dim
         d_v = att.v_head_dim
@@ -154,7 +163,7 @@ def routed_experts_cost(
     n_mats = 3 if moe.gated else 2
 
     per_expert = n_mats * h * f
-    coverage = expected_expert_coverage(e, min(k, e), m)
+    coverage = _map(lambda x: expected_expert_coverage(e, min(k, e), x), m)
     flops = 2.0 * m * k * per_expert
     w_bytes = coverage * per_expert * quant.weight_bytes
     # dispatch duplicates each token k times; intermediate is m*k*f
@@ -169,7 +178,7 @@ def routed_experts_cost(
         a_bytes *= 2.0
         w_bytes *= 1.15
 
-    tokens_per_expert = m * k / max(coverage, 1.0)
+    tokens_per_expert = m * k / _maximum(coverage, 1.0)
     return ComponentCost(
         "experts", flops, w_bytes, a_bytes, launches=launches,
         gemm_m=tokens_per_expert, gemm_n=f, gemm_k=h,

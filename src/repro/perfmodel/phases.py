@@ -11,14 +11,28 @@ times on a given hardware/parallelism/quantization deployment:
   which is why PP throughput stays flat in the paper's Fig. 13);
 * the fused-MoE toggle switches the expert path's launch count and
   intermediate traffic (Fig. 14).
+
+The cost arithmetic exists once (:meth:`StepModel._step_terms`) and runs
+on Python floats for one step and on float64 arrays for a sweep axis,
+with the same bits either way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.hardware.interconnect import all_to_all_time, allreduce_time, p2p_time
-from repro.hardware.roofline import KernelCost, gemm_efficiency, kernel_time
+import numpy as np
+
+from repro.hardware.interconnect import _all_to_all_time, _allreduce_time, _p2p_time
+from repro.hardware.roofline import (
+    KernelCost,
+    _gemm_efficiency,
+    _kernel_time,
+    _map,
+    _maximum,
+    gemm_efficiency,
+    kernel_time,
+)
 from repro.hardware.spec import HardwareSpec
 from repro.models.config import AttentionKind, ModelConfig
 from repro.optim.quantization import FP16_CONFIG, QuantConfig
@@ -29,7 +43,6 @@ from repro.perfmodel.flops import (
     attention_core_cost,
     dense_ffn_cost,
     embedding_cost,
-    expected_expert_coverage,
     expected_group_imbalance,
     lm_head_cost,
     qkvo_cost,
@@ -63,9 +76,6 @@ class PhaseBreakdown:
     @property
     def total(self) -> float:
         return sum(self.components.values()) + self.comm + self.pipeline + self.overhead
-
-    def add(self, name: str, seconds: float) -> None:
-        self.components[name] = self.components.get(name, 0.0) + seconds
 
     def shares(self) -> dict[str, float]:
         """Fraction of step time per component (comm/pipeline/overhead
@@ -117,10 +127,11 @@ class StepModel:
         self.quant = quant
         self.fused_moe = fused_moe
         self.mla_native = mla_native
+        self._layer_is_moe = tuple(is_moe for _, is_moe in model.iter_layers())
         # intern the frozen setup once: per-step cache keys are flat tuples.
         # the concrete class is part of the setup — subclasses override
-        # kernel-time methods (e.g. ablation variants) and must not share
-        # entries with the base model.
+        # cost hooks (e.g. the flat-efficiency ablation's _gemm_eff) and
+        # must not share entries with the base model.
         self._cache = _stepcache.GLOBAL
         self._setup_id = self._cache.setup_id(_stepcache.freeze((
             type(self).__module__, type(self).__qualname__,
@@ -139,8 +150,13 @@ class StepModel:
     # kernel-time helpers
     # ------------------------------------------------------------------ #
 
+    def _gemm_eff(self, m, n, k):
+        """Compute efficiency of an ``m×k @ k×n`` GEMM — the hook the
+        flat-efficiency ablation overrides."""
+        return _gemm_efficiency(m, n, k, self.hardware)
+
     def _component_time(self, cost: ComponentCost, shard: float = 1.0,
-                        kv_shard: float = 1.0, dtype: str | None = None) -> float:
+                        kv_shard: float = 1.0, dtype: str | None = None):
         """Roofline time of one component sharded ``shard``-ways.
 
         ``kv_shard`` separately divides activation/KV traffic for the
@@ -148,34 +164,30 @@ class StepModel:
         ``dtype`` overrides the math dtype (attention cores run in half
         precision even under weight/activation quantization).
         """
-        if cost.launches == 0 and cost.flops == 0 and cost.bytes == 0:
-            return 0.0
-        flops = cost.flops / shard
+        if not cost.launches:
+            return 0.0  # an absent component (no shared experts / dense FFN)
+        hw = self.hardware
         w_bytes = cost.weight_bytes / shard
         if self.quant.weights.is_quantized:
             # dequantisation stalls erode part of the bandwidth saving
-            w_bytes /= self.hardware.quant_mem_derate
+            w_bytes = w_bytes / hw.quant_mem_derate
         a_bytes = cost.act_bytes / kv_shard if kv_shard != 1.0 else cost.act_bytes / shard
-        kc = KernelCost(
-            flops=flops,
-            bytes=w_bytes + a_bytes,
-            dtype=dtype if dtype is not None else self.quant.compute_dtype_name,
-            launches=cost.launches,
-        )
-        if cost.gemm_m > 0:
-            eff = gemm_efficiency(
-                cost.gemm_m, max(1.0, cost.gemm_n / shard), cost.gemm_k, self.hardware
-            )
+        if cost.gemm_k > 0:
+            eff = self._gemm_eff(
+                cost.gemm_m, _maximum(1.0, cost.gemm_n / shard), cost.gemm_k)
         else:
-            eff = None
-        return kernel_time(kc, self.hardware, efficiency=eff)
+            eff = hw.max_gemm_efficiency
+        return _kernel_time(
+            cost.flops / shard, w_bytes + a_bytes,
+            dtype if dtype is not None else self.quant.compute_dtype_name,
+            cost.launches, eff, hw,
+        )
 
     # ------------------------------------------------------------------ #
     # per-layer times
     # ------------------------------------------------------------------ #
 
-    def _attention_time(self, m: float, batch: float, kv_len: float,
-                        attended_len: float | None) -> float:
+    def _attention_time(self, m, batch, kv_len, attended_len):
         tp = self.plan.tp
         att = self.model.attention
         if att.kind is AttentionKind.MLA and self.mla_native:
@@ -184,7 +196,7 @@ class StepModel:
             kv_shard = float(min(tp, att.num_kv_heads))
         t = self._component_time(qkvo_cost(self.model, m, self.quant), shard=tp)
         # the attention core runs in half precision regardless of quant mode
-        t += self._component_time(
+        t = t + self._component_time(
             attention_core_cost(self.model, m, batch, kv_len, self.quant,
                                 attended_len, mla_native=self.mla_native),
             shard=tp,
@@ -192,59 +204,49 @@ class StepModel:
             dtype="fp16",
         )
         # rmsnorm + residual + rope elementwise traffic
-        ew = KernelCost(
-            flops=0.0,
-            bytes=8.0 * m * self.model.hidden_size * self.quant.activation_bytes / tp,
-            dtype="fp16",
-            launches=5,
-        )
-        t += kernel_time(ew, self.hardware)
-        return t
+        ew_bytes = 8.0 * m * self.model.hidden_size * self.quant.activation_bytes / tp
+        hw = self.hardware
+        return t + _kernel_time(0.0, ew_bytes, "fp16", 5, hw.max_gemm_efficiency, hw)
 
-    def _moe_ffn_time(self, m: float) -> tuple[float, float, float]:
+    def _moe_ffn_time(self, m):
         """(router seconds, compute seconds incl. router, comm seconds) of
         one MoE layer's FFN block."""
         moe = self.model.moe
         assert moe is not None
         tp, ep = self.plan.tp, self.plan.ep
-        intra_tp = self.plan.expert_shard_tp
-        router_t = self._component_time(router_cost(self.model, m, self.quant), shard=1.0)
-        t = router_t
+        router_t = self._component_time(router_cost(self.model, m, self.quant))
 
         if ep > 1:
             resident = moe.num_experts // ep
             # mean assignments landing on one EP group; the all-to-all
             # barrier makes the step as slow as the *max*-loaded group, so
             # the whole expert phase is scaled by the multinomial imbalance
-            imbalance = expected_group_imbalance(ep, m * moe.top_k)
-            local_tokens = m / ep
+            imbalance = _map(lambda x: expected_group_imbalance(ep, x),
+                             m * moe.top_k)
             cost = routed_experts_cost(
                 self.model,
-                max(1.0, local_tokens),
+                _maximum(1.0, m / ep),
                 self.quant,
                 fused=self.fused_moe,
                 num_experts_resident=resident,
                 top_k=min(moe.top_k, resident),
             )
             # EP dispatch machinery: sort/scatter/gather across devices
-            cost = ComponentCost(
-                cost.name, cost.flops, cost.weight_bytes, cost.act_bytes,
-                cost.launches + 3, cost.gemm_m, cost.gemm_n, cost.gemm_k,
-            )
-            t += self._component_time(cost, shard=intra_tp) * imbalance
+            cost = replace(cost, launches=cost.launches + 3)
+            experts = self._component_time(
+                cost, shard=self.plan.expert_shard_tp) * imbalance
+            payload = (m * moe.top_k / ep) * self.model.hidden_size * self.quant.activation_bytes
+            comm = 2.0 * _all_to_all_time(payload * ep, ep, self.hardware)
         else:
             cost = routed_experts_cost(self.model, m, self.quant, fused=self.fused_moe)
-            t += self._component_time(cost, shard=tp)
+            experts = self._component_time(cost, shard=tp)
+            comm = 0.0
 
-        t += self._component_time(shared_expert_cost(self.model, m, self.quant), shard=tp)
+        shared = self._component_time(
+            shared_expert_cost(self.model, m, self.quant), shard=tp)
+        return router_t, router_t + experts + shared, comm
 
-        comm = 0.0
-        if ep > 1:
-            payload = (m * moe.top_k / ep) * self.model.hidden_size * self.quant.activation_bytes
-            comm += 2.0 * all_to_all_time(payload * ep, ep, self.hardware)
-        return router_t, t, comm
-
-    def _dense_ffn_time(self, m: float) -> float:
+    def _dense_ffn_time(self, m):
         return self._component_time(
             dense_ffn_cost(self.model, m, self.quant), shard=self.plan.tp
         )
@@ -252,6 +254,74 @@ class StepModel:
     # ------------------------------------------------------------------ #
     # whole-step times
     # ------------------------------------------------------------------ #
+
+    def _step_terms(self, m, batch, kv_len, attended_len):
+        """The step's ``(attention, moe_ffn, dense_ffn, embedding, lm_head,
+        router, comm, pipeline, overhead)`` seconds.
+
+        The one step-cost core: the shape arguments are all Python floats
+        (one step) or all float64 arrays (a sweep axis), with the same
+        bits either way.  Each per-layer term is priced once and then
+        accumulated by repeated addition, as a per-layer loop would —
+        ``n`` additions are not one multiplication in floating point.
+        """
+        model, plan, quant, hw = self.model, self.plan, self.quant, self.hardware
+        layers = self._layer_is_moe
+        n_moe = layers.count(True)
+        n_dense = len(layers) - n_moe
+        attn_layer = self._attention_time(m, batch, kv_len, attended_len)
+        router_layer = moe_layer = comm_layer = dense_layer = 0.0
+        if n_moe:
+            router_layer, moe_layer, comm_layer = self._moe_ffn_time(m)
+        if n_dense:
+            dense_layer = self._dense_ffn_time(m)
+        attention = moe_ffn = dense_ffn = router = moe_comm = 0.0
+        for is_moe in layers:
+            attention = attention + attn_layer
+            if is_moe:
+                router = router + router_layer
+                moe_ffn = moe_ffn + moe_layer
+                moe_comm = moe_comm + comm_layer
+            else:
+                dense_ffn = dense_ffn + dense_layer
+
+        # embeddings + final logits (decode & prefill both produce `batch`)
+        embedding = self._component_time(
+            embedding_cost(model, m, quant), shard=plan.tp)
+        lm_head = self._component_time(
+            lm_head_cost(model, batch, quant), shard=plan.tp)
+
+        # TP collectives: 2 ring all-reduces per layer over the token payload
+        comm = 0.0
+        if plan.tp > 1:
+            payload = m * model.hidden_size * quant.activation_bytes
+            n_ar = model.num_layers  # post-attention all-reduce
+            # post-FFN all-reduce only where the FFN is still TP-sharded
+            n_ar += n_dense + (n_moe if plan.expert_shard_tp > 1 or plan.ep == 1 else 0)
+            comm = n_ar * _allreduce_time(payload, plan.tp, hw)
+        comm = comm + moe_comm
+
+        # PP: serial stage traversal, one p2p hop per boundary, plus the
+        # extra per-stage launch/sync overhead
+        pipeline = 0.0
+        if plan.pp > 1:
+            hop = _p2p_time(m * model.hidden_size * quant.activation_bytes, hw)
+            pipeline = (plan.pp - 1) * (hop + hw.step_overhead_us * 1e-6 * 0.5)
+
+        overhead = (hw.step_overhead_us + batch * hw.per_seq_overhead_us) * 1e-6
+
+        # vision tower cost is charged by the caller per image, not per step
+        return (attention, moe_ffn, dense_ffn, embedding, lm_head, router,
+                comm, pipeline, overhead)
+
+    @staticmethod
+    def _total(terms):
+        """``PhaseBreakdown.total`` of :meth:`_step_terms` output, in its
+        exact addition order (components, then comm, pipeline, overhead)."""
+        attention, moe_ffn, dense_ffn, embedding, lm_head, _, comm, pipeline, \
+            overhead = terms
+        return (attention + moe_ffn + dense_ffn + embedding + lm_head
+                + comm + pipeline + overhead)
 
     def step_breakdown(
         self,
@@ -303,53 +373,19 @@ class StepModel:
         phase: str,
         attended_len: float | None,
     ) -> PhaseBreakdown:
-        m = float(num_tokens)
-        hw, plan, quant = self.hardware, self.plan, self.quant
-        bd = PhaseBreakdown(phase=phase)
-
-        moe_time = moe_comm = dense_time = attn_time = router_time = 0.0
-        for _, is_moe in self.model.iter_layers():
-            attn_time += self._attention_time(m, batch, kv_len, attended_len)
-            if is_moe:
-                r, t, c = self._moe_ffn_time(m)
-                router_time += r
-                moe_time += t
-                moe_comm += c
-            else:
-                dense_time += self._dense_ffn_time(m)
-        bd.add("attention", attn_time)
-        bd.add("moe_ffn", moe_time)
-        bd.add("dense_ffn", dense_time)
-        if router_time:
-            bd.subcomponents["router"] = router_time
-
-        # embeddings + final logits (decode & prefill both produce `batch`)
-        bd.add("embedding", self._component_time(
-            embedding_cost(self.model, m, quant), shard=plan.tp))
-        bd.add("lm_head", self._component_time(
-            lm_head_cost(self.model, batch, quant), shard=plan.tp))
-
-        # TP collectives: 2 ring all-reduces per layer over the token payload
-        if plan.tp > 1:
-            payload = m * self.model.hidden_size * quant.activation_bytes
-            n_ar = self.model.num_layers  # post-attention all-reduce
-            # post-FFN all-reduce only where the FFN is still TP-sharded
-            n_ar += (
-                self.model.num_dense_layers
-                + (self.model.num_moe_layers if plan.expert_shard_tp > 1 or plan.ep == 1 else 0)
-            )
-            bd.comm += n_ar * allreduce_time(payload, plan.tp, hw)
-        bd.comm += moe_comm
-
-        # PP: serial stage traversal, one p2p hop per boundary, plus the
-        # extra per-stage launch/sync overhead
-        if plan.pp > 1:
-            hop = p2p_time(m * self.model.hidden_size * quant.activation_bytes, hw)
-            bd.pipeline = (plan.pp - 1) * (hop + hw.step_overhead_us * 1e-6 * 0.5)
-
-        bd.overhead = (hw.step_overhead_us + batch * hw.per_seq_overhead_us) * 1e-6
-
-        # vision tower cost is charged by the caller per image, not per step
+        attention, moe_ffn, dense_ffn, embedding, lm_head, router, comm, \
+            pipeline, overhead = self._step_terms(
+                float(num_tokens), float(batch), float(kv_len),
+                None if attended_len is None else float(attended_len))
+        bd = PhaseBreakdown(
+            phase=phase,
+            components={"attention": attention, "moe_ffn": moe_ffn,
+                        "dense_ffn": dense_ffn, "embedding": embedding,
+                        "lm_head": lm_head},
+            comm=comm, pipeline=pipeline, overhead=overhead,
+        )
+        if router:
+            bd.subcomponents["router"] = router
         return bd
 
     def prefill_time(self, batch: int, prompt_len: int) -> float:
@@ -373,6 +409,64 @@ class StepModel:
             num_tokens=batch, batch=batch, kv_len=context_len, phase="decode"
         )
         return bd.total
+
+    # ------------------------------------------------------------------ #
+    # step totals without a breakdown (sweep axes, engine probes)
+    # ------------------------------------------------------------------ #
+
+    def step_totals(self, num_tokens, batch, kv_len, attended_len=None) -> list[float]:
+        """``step_breakdown(...).total`` for an axis of step shapes, priced
+        as float64 arrays in one pass.
+
+        Arguments are per-point sequences; ``attended_len=None`` attends
+        to the whole context.  Returns Python floats so downstream tables
+        never see ``np.float64`` (its repr would corrupt table digests).
+        """
+        m = np.asarray(num_tokens, dtype=np.float64)
+        b = np.asarray(batch, dtype=np.float64)
+        kv = np.asarray(kv_len, dtype=np.float64)
+        att = None if attended_len is None else np.asarray(attended_len, dtype=np.float64)
+        if m.size and (m.min() <= 0 or b.min() <= 0):
+            raise ValueError("num_tokens and batch must be positive")
+        total = self._total(self._step_terms(m, b, kv, att))
+        return [float(x) for x in total]
+
+    def step_total_one(self, num_tokens, batch, kv_len,
+                       attended_len=None) -> float:
+        """One step's total seconds on Python floats, skipping the
+        breakdown and the step cache — the engine fast path's point probe.
+        Same bits as ``step_breakdown(...).total`` and as
+        ``step_totals([...])[0]``."""
+        m = float(num_tokens)
+        b = float(batch)
+        kv = float(kv_len)
+        att = None if attended_len is None else float(attended_len)
+        if m <= 0 or b <= 0:
+            raise ValueError("num_tokens and batch must be positive")
+        return self._total(self._step_terms(m, b, kv, att))
+
+    def prefill_totals(self, batches, prompt_lens) -> list[float]:
+        """``prefill_time`` for per-point ``(batch, prompt_len)`` pairs."""
+        batches = list(batches)
+        prompt_lens = list(prompt_lens)
+        if any(p <= 0 for p in prompt_lens):
+            raise ValueError("prompt_len must be positive")
+        return self.step_totals(
+            num_tokens=[b * p for b, p in zip(batches, prompt_lens)],
+            batch=batches,
+            kv_len=prompt_lens,
+            attended_len=[(p + 1) / 2.0 for p in prompt_lens],
+        )
+
+    def decode_totals(self, batches, context_lens) -> list[float]:
+        """``decode_step_time`` for per-point ``(batch, context)`` pairs."""
+        batches = list(batches)
+        context_lens = list(context_lens)
+        if any(c <= 0 for c in context_lens):
+            raise ValueError("context_len must be positive")
+        return self.step_totals(
+            num_tokens=batches, batch=batches, kv_len=context_lens,
+        )
 
     def cache_stats(self) -> _stepcache.CacheStats:
         """Hit/miss counters of the step cache this model routes through."""

@@ -113,12 +113,12 @@ class StepCache:
         self._setup_ids: dict[Hashable, int] = {}
         self.totals: dict[tuple, float] = {}
         """Step *total* seconds keyed ``(setup_id, shape...)`` — the engine
-        fast path's memo of :class:`VectorizedStepModel` evaluations.
+        fast path's memo of :meth:`StepModel.step_total_one` evaluations.
         Values are bit-identical to ``step_breakdown(...).total`` /
         ``decode_step_time``, so sharing them across engines (fleet
         replicas share one perf model; sweep points share a setup id) only
-        changes wallclock, never outputs.  Read directly in hot loops;
-        insert through :meth:`total_put` for the entry bound."""
+        changes wallclock, never outputs.  Filled and bounded by
+        :class:`~repro.serving.fastpath.EngineFastPath`."""
         self.decode_plans: dict[tuple[int, int], dict[int, float]] = {}
         """Decode-step seconds as ``(setup_id, batch) -> {context: s}`` —
         the nesting keeps the engine fast path's per-iteration probes on
@@ -160,13 +160,6 @@ class StepCache:
             self._entries.clear()
             self.stats.clears += 1
         self._entries[key] = breakdown
-
-    def total_put(self, key: tuple, total: float) -> None:
-        """Bounded insert into :attr:`totals` (same deterministic wholesale
-        clear as the breakdown table)."""
-        if len(self.totals) >= self.max_entries:
-            self.totals.clear()
-        self.totals[key] = total
 
     # ------------------------------------------------------------------ #
     # management

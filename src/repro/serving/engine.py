@@ -429,13 +429,11 @@ class ServingEngine:
     def _step_total(self, num_tokens: int, batch: int, kv_len: float,
                     phase: str, attended_len: float | None = None) -> float:
         """One iteration's total seconds without the component breakdown:
-        the bit-identical one-point vectorized evaluation when the fast
-        path is attached (skipping the per-layer scalar loop on step-cache
-        misses), else the scalar perf-model call through the step cache."""
-        fastpath = self.fastpath
-        if fastpath is not None and fastpath.vector is not None:
-            return fastpath.step_total(num_tokens, batch, kv_len, phase,
-                                       attended_len)
+        the fast path's memoized step totals when it is attached, else the
+        perf-model call through the step cache (same bits either way)."""
+        if self.fastpath is not None:
+            return self.fastpath.step_total(num_tokens, batch, kv_len, phase,
+                                            attended_len)
         if phase == "decode":
             return self.perf.steps.decode_step_time(batch, kv_len)
         return self.perf.steps.step_breakdown(

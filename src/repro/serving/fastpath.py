@@ -8,7 +8,7 @@ running dry — nothing about the *decision structure* of those iterations
 changes: the batch is the same ``running`` list every time, no request
 finishes, no preemption fires.  :class:`EngineFastPath` detects such a
 run and advances the whole window at once: the per-iteration step costs
-are priced in one :class:`~repro.perfmodel.vectorized.VectorizedStepModel`
+are priced in one :meth:`~repro.perfmodel.phases.StepModel.decode_totals`
 array pass, KV block-crossing iterations are precomputed arithmetically,
 and request/block-table counters are committed with one addition per
 sequence instead of one per token.
@@ -19,9 +19,8 @@ scalar ``step()``, but their durations are priced through
 :meth:`EngineFastPath.step_total`: a decode memo keyed on
 ``(batch, context)`` (pre-filled by the window plans, which price one
 step past their own end exactly so the completing iteration hits), with
-one-point vectorized evaluation as the miss path.  This replaces the
-scalar per-layer Python loop on every step-cache miss, which profiling
-shows dominates serving-heavy wallclock.
+one-point :meth:`~repro.perfmodel.phases.StepModel.step_total_one` as the
+miss path, which skips building a breakdown.
 
 **Bit-identity contract.**  The fingerprint gate digests ``repr()`` of
 every float and the chaos/fleet digests hash the event stream via
@@ -34,11 +33,9 @@ for operand:
   integer sum ``(kv_sum + j * batch) / batch`` (``np.mean`` over Python
   ints is a pairwise float64 sum, exact below 2**53, divided by the
   batch — the same correctly-rounded division);
-* durations come from the ``VectorizedStepModel`` mirrors, proven
-  bit-identical to ``decode_step_time`` / ``step_breakdown().total`` by
-  the PR-4 parity suite, or from the scalar calls themselves (through
-  the step cache) when the deployment uses a :class:`StepModel` subclass
-  the vectorized mirror does not support;
+* durations come from the step model's one float/array core, so a
+  window's array pass and a one-point probe give the same bits as
+  ``decode_step_time`` / ``step_breakdown().total``;
 * KV blocks are popped through ``PagedKVCache.append_block`` in the
   scalar order — iteration-major, then running order — so prefix-cache
   eviction (which pops LRU reusable blocks) sees the identical request
@@ -74,7 +71,6 @@ import os
 from typing import TYPE_CHECKING
 
 from repro.perfmodel import stepcache
-from repro.perfmodel.vectorized import VectorizedStepModel, supports
 from repro.serving.events import Event, EventType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -99,12 +95,7 @@ class EngineFastPath:
 
     def __init__(self, engine: "ServingEngine") -> None:
         self.engine = engine
-        steps = engine.perf.steps
-        self.vector = VectorizedStepModel(steps) if supports(steps) else None
-        """Array mirror of the deployment's step model, or ``None`` for
-        step-model subclasses (ablations) — those fall back to scalar
-        perf-model calls through the step cache, keeping the window's
-        bookkeeping wins."""
+        self.steps = engine.perf.steps
         self._cache = stepcache.GLOBAL
         shared = self._cache.enabled
         self._totals = self._cache.totals if shared else {}
@@ -124,7 +115,7 @@ class EngineFastPath:
         """This engine's view of :attr:`_decode_plans` keyed by batch
         alone (the setup id is fixed per engine), so hot probes skip the
         outer tuple key."""
-        self._sid = steps.setup_id
+        self._sid = self.steps.setup_id
 
     # ------------------------------------------------------------------ #
 
@@ -150,32 +141,30 @@ class EngineFastPath:
 
     def step_total(self, num_tokens: int, batch: int, kv_len: float,
                    phase: str, attended_len: float | None = None) -> float:
-        """One iteration's total seconds through the vectorized mirror —
-        the values ``step_breakdown(...).total`` / ``decode_step_time``
-        produce, without the per-layer scalar loop.  Every shape memoizes
-        in the shared totals tables (windows pre-fill decode entries,
-        including one step past their own end for the completing
-        iteration).  Callers must check :attr:`vector` is not ``None``."""
+        """One iteration's total seconds — the values
+        ``step_breakdown(...).total`` / ``decode_step_time`` produce,
+        without building a breakdown.  Every shape memoizes in the shared
+        totals tables (windows pre-fill decode entries, including one step
+        past their own end for the completing iteration)."""
         if phase == "decode":
             plan = self._plan(batch)
             total = plan.get(kv_len)
             if total is None:
-                total = self.vector.step_total_one(batch, batch, kv_len)
+                total = self.steps.step_total_one(batch, batch, kv_len)
                 plan[kv_len] = total
             return total
         key = (self._sid, num_tokens, batch, kv_len, attended_len)
         total = self._totals.get(key)
         if total is None:
-            total = self.vector.step_total_one(
+            total = self.steps.step_total_one(
                 num_tokens, batch, kv_len, attended_len)
             self._put(key, total)
         return total
 
     def _window_durations(self, batch: int, kv_sum: int,
-                          limit: int) -> list[float] | None:
+                          limit: int) -> list[float]:
         """Per-iteration decode durations for a window of ``limit`` steps
-        starting from total context ``kv_sum`` over ``batch`` sequences,
-        or ``None`` to use scalar ``decode_step_time`` probes.
+        starting from total context ``kv_sum`` over ``batch`` sequences.
 
         Iteration ``j`` (0-based) prices at context
         ``max(1, int((kv_sum + j * batch) / batch))`` — the exact value
@@ -184,14 +173,12 @@ class EngineFastPath:
         is the completing iteration the scalar ``step()`` takes next, so
         its :meth:`step_total` lookup hits.  Windows resumed after a
         fleet-horizon break find every remaining context memoized."""
-        if self.vector is None:
-            return None
         plan = self._plan(batch)
         contexts = [max(1, int((kv_sum + j * batch) / batch))
                     for j in range(limit + 1)]
         missing = sorted({c for c in contexts if c not in plan})
         if missing:
-            totals = self.vector.decode_totals([batch] * len(missing), missing)
+            totals = self.steps.decode_totals([batch] * len(missing), missing)
             for c, t in zip(missing, totals):
                 plan[c] = t
         return [plan[contexts[j]] for j in range(limit)]
@@ -255,7 +242,6 @@ class EngineFastPath:
         total_pops = len(crossings)
 
         durations = self._window_durations(batch, kv_sum, limit)
-        steps = engine.perf.steps
         request_ids = tuple(r.request_id for r in running)
         num_blocks = kv.num_blocks
         free = kv.free_blocks
@@ -282,13 +268,7 @@ class EngineFastPath:
                 pop_at += pops
                 free -= pops
                 available -= pops
-            if durations is not None:
-                duration_s = durations[done]
-            else:
-                # mirror of _iteration_cost's decode branch: np.mean over
-                # pre-iteration kv_tokens is an exact integer sum < 2**53
-                ctx = max(1, int((kv_sum + done * batch) / batch))
-                duration_s = steps.decode_step_time(batch, ctx)
+            duration_s = durations[done]
             clock = clock + duration_s
             record(Event(
                 clock, decode, request_ids,

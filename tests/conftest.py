@@ -2,10 +2,31 @@
 
 from __future__ import annotations
 
+import pathlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.models.config import AttentionConfig, ModelConfig, MoEConfig
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="session")
+def repo_lint() -> SimpleNamespace:
+    """One whole-repo lint analysis shared by the self-check tests:
+    ``violations`` of every rule, plus the ``project`` and flow
+    ``program`` they were computed over."""
+    from repro.lint.core import LintProject, run_lint
+    from repro.lint.flow import engine
+
+    project = LintProject(REPO)
+    violations = run_lint(REPO, project=project)
+    # memoized on the project's file hashes: the program run_lint used
+    program = engine.program_for(project)
+    return SimpleNamespace(project=project, program=program,
+                           violations=violations)
 
 
 @pytest.fixture

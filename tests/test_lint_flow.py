@@ -129,8 +129,8 @@ class TestCallGraph:
                  for e in program.edges[c]}
         assert ("repro.m.Child.go", "repro.n.Base.inherited") in edges
 
-    def test_repo_graph_builds(self):
-        program = engine.program_for(LintProject(REPO))
+    def test_repo_graph_builds(self, repo_lint):
+        program = repo_lint.program
         assert program.stats["functions"] > 500
         assert program.stats["edges"] > 1000
 
@@ -266,10 +266,8 @@ class TestDeterminismTaint:
         vs = run_lint(tmp_path, rules=[get_rule("DET101")], project=project)
         assert vs == []
 
-    def test_repo_is_taint_clean(self):
-        project = LintProject(REPO)
-        program = engine.program_for(project)
-        report = taint_report(program, project)
+    def test_repo_is_taint_clean(self, repo_lint):
+        report = taint_report(repo_lint.program, repo_lint.project)
         assert report.findings == []
         assert len(report.roots) > 50  # experiments + serving/fleet surface
 

@@ -8,7 +8,7 @@ import pathlib
 from repro.core.cli import build_parser
 from repro.lint.baseline import Baseline
 from repro.lint.cli import cmd_lint
-from repro.lint.core import run_lint
+from repro.lint.reporters import render_json
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -16,15 +16,15 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 def _ns(**overrides) -> argparse.Namespace:
     defaults = dict(list_rules=False, root=str(REPO), rules=None, check=False,
                     json=False, out=None, baseline=None, update_baseline=False,
-                    update_parity=False, graph=False, graph_format="dot",
+                    graph=False, graph_format="dot",
                     no_cache=False)
     defaults.update(overrides)
     return argparse.Namespace(**defaults)
 
 
 class TestSelfCheck:
-    def test_repo_is_lint_clean(self):
-        assert run_lint(REPO) == []
+    def test_repo_is_lint_clean(self, repo_lint):
+        assert repo_lint.violations == []
 
     def test_committed_baseline_is_empty(self):
         # the gate starts green with nothing grandfathered: every finding
@@ -45,11 +45,13 @@ class TestCliExitCodes:
         assert cmd_lint(_ns()) == 0
         assert "clean" in capsys.readouterr().out
 
-    def test_check_mode_exits_zero(self, capsys):
-        assert cmd_lint(_ns(check=True)) == 0
+    def test_check_mode_exits_zero(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert cmd_lint(_ns(check=True, json=True, out=str(out))) == 0
+        assert json.loads(out.read_text())["summary"]["total"] == 0
 
     def test_rule_subset_selection(self, capsys):
-        assert cmd_lint(_ns(rules="PAR", check=True)) == 0
+        assert cmd_lint(_ns(rules="REG", check=True)) == 0
 
     def test_bad_selector_exits_two(self, capsys):
         assert cmd_lint(_ns(rules="NOPE")) == 2
@@ -57,10 +59,8 @@ class TestCliExitCodes:
     def test_bad_root_exits_two(self, tmp_path, capsys):
         assert cmd_lint(_ns(root=str(tmp_path))) == 2
 
-    def test_json_report_written(self, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        assert cmd_lint(_ns(json=True, out=str(out))) == 0
-        doc = json.loads(out.read_text())
+    def test_json_report_written(self, repo_lint):
+        doc = json.loads(render_json(repo_lint.violations))
         assert doc["summary"]["total"] == 0
 
     def test_list_rules(self, capsys):
@@ -87,6 +87,6 @@ class TestCliExitCodes:
         assert cmd_lint(_ns(root=str(tmp_path), check=True)) == 1
 
     def test_parser_wires_lint_subcommand(self):
-        args = build_parser().parse_args(["lint", "--check", "--rules", "PAR"])
+        args = build_parser().parse_args(["lint", "--check", "--rules", "REG"])
         assert args.func is cmd_lint
-        assert args.check and args.rules == "PAR"
+        assert args.check and args.rules == "REG"

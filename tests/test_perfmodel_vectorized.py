@@ -1,4 +1,4 @@
-"""Exact-equivalence tests for the vectorized sweep fast path."""
+"""Exact-equivalence tests for the step model's array (sweep) path."""
 
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ from repro.experiments.common import (
 from repro.hardware.gpus import H100_SXM
 from repro.models.zoo import get_model
 from repro.optim.quantization import FP8_CONFIG
+from repro.experiments.ablations import _FlatEfficiencyStepModel
 from repro.parallel.plan import ParallelPlan
-from repro.perfmodel import vectorized as vec
 from repro.perfmodel.inference import InferencePerfModel
 from repro.perfmodel.phases import StepModel
 
@@ -73,18 +73,17 @@ class TestExactEquivalence:
     ])
     def test_step_total_one_matches_scalar_and_batched(self, model):
         """The engine fast path's one-point entry must agree bit-for-bit
-        with both the scalar perf model and the batched array pass over
-        the same shapes (the polymorphic helpers dispatch float vs array,
-        but every arithmetic op is the same IEEE-754 operation)."""
+        with both the breakdown path and the batched array pass over the
+        same shapes (the polymorphic helpers dispatch float vs array, but
+        every arithmetic op is the same IEEE-754 operation)."""
         steps = StepModel(get_model(model), H100_SXM)
-        v = vec.VectorizedStepModel(steps)
         shapes = [(1, 1, 1, None), (8, 8, 512, None), (64, 64, 4096, None),
                   (256, 4, 256, 128.5), (2048, 16, 2048, 1024.5)]
         for m, b, kv, att in shapes:
-            one = v.step_total_one(m, b, kv, att)
+            one = steps.step_total_one(m, b, kv, att)
             assert type(one) is float
-            batched = v.step_totals([m], [b], [kv],
-                                    None if att is None else [att])[0]
+            batched = steps.step_totals([m], [b], [kv],
+                                        None if att is None else [att])[0]
             assert one == batched
             if att is None and m == b:
                 assert one == steps.decode_step_time(b, kv)
@@ -95,12 +94,23 @@ class TestExactEquivalence:
                 assert one == scalar
 
     def test_step_total_one_validates(self):
-        v = vec.VectorizedStepModel(
-            StepModel(get_model("OLMoE-1B-7B"), H100_SXM))
+        steps = StepModel(get_model("OLMoE-1B-7B"), H100_SXM)
         with pytest.raises(ValueError):
-            v.step_total_one(0, 1, 64)
+            steps.step_total_one(0, 1, 64)
         with pytest.raises(ValueError):
-            v.step_total_one(1, 0, 64)
+            steps.step_total_one(1, 0, 64)
+
+    def test_flat_efficiency_arrays_match_floats(self):
+        """The flat-efficiency ablation overrides only the GEMM-efficiency
+        hook, so its array pass is the same core as its float path."""
+        flat = _FlatEfficiencyStepModel(get_model("Mixtral-8x7B"), H100_SXM,
+                                        plan=ParallelPlan(tp=4))
+        batches, prompts = [1, 4, 16, 64], [512, 128, 512, 2048]
+        assert flat.prefill_totals(batches, prompts) == [
+            flat.prefill_time(b, p) for b, p in zip(batches, prompts)]
+        assert flat.prefill_time(1, 512) != StepModel(
+            get_model("Mixtral-8x7B"), H100_SXM,
+            plan=ParallelPlan(tp=4)).prefill_time(1, 512)
 
 
 class TestFallbacks:
@@ -110,15 +120,6 @@ class TestFallbacks:
         pm = perf_model(get_model("OLMoE-1B-7B"))
         rows = metrics_rows(pm, SHAPES)
         assert rows == [metrics_row(pm, b, i, o) for b, i, o in SHAPES]
-
-    def test_subclass_not_supported(self):
-        class Custom(StepModel):
-            pass
-
-        custom = Custom(get_model("OLMoE-1B-7B"), H100_SXM)
-        assert not vec.supports(custom)
-        with pytest.raises(TypeError):
-            vec.VectorizedStepModel(custom)
 
     def test_instrumented_model_uses_scalar_path(self):
         from repro.obs.instrument import Instrumentation
