@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, TYPE_CHECKING
+from typing import Any, Sequence, TYPE_CHECKING
 
 from repro.serving.events import Event, EventType
 
@@ -73,12 +73,29 @@ class Alert:
 
 class AlertRule:
     """Base rule: override :meth:`check` (per iteration) and/or
-    :meth:`check_end` (once per run). Return an :class:`Alert` to fire."""
+    :meth:`check_end` (once per run). Return an :class:`Alert` to fire.
+
+    A rule that can bound its own firing also overrides
+    :meth:`quiet_iterations`, which lets the engine advance decode
+    windows while the rule is armed."""
 
     name = "alert"
 
     def check(self, engine: "ServingEngine") -> Alert | None:
         return None
+
+    def quiet_iterations(self, engine: "ServingEngine",
+                         plan: Sequence[Event]) -> int:
+        """How many leading iterations of a decode window this rule
+        provably does not fire on.
+
+        ``plan`` holds the window's DECODE events, one per iteration, with
+        the end clock as ``time`` and the post-iteration ``kv_utilization``;
+        inside a window no request arrives, completes or is preempted, and
+        the engine state it would show is not materialized.  The default
+        answers 0, so a rule without a window contract keeps the engine on
+        the scalar path, where :meth:`check` sees every iteration."""
+        return 0
 
     def check_end(self, engine: "ServingEngine",
                   result: "ServingResult") -> Alert | None:
@@ -94,6 +111,11 @@ class ExpertImbalanceRule(AlertRule):
     def __init__(self, threshold: float = 2.0, min_batches: int = 32) -> None:
         self.threshold = threshold
         self.min_batches = min_batches
+
+    def quiet_iterations(self, engine: "ServingEngine",
+                         plan: Sequence[Event]) -> int:
+        obs = engine.obs
+        return len(plan) if obs is None or obs.routing is None else 0
 
     def check(self, engine: "ServingEngine") -> Alert | None:
         obs = engine.obs
@@ -126,6 +148,11 @@ class PreemptionStormRule(AlertRule):
         self.max_events = max_events
         self.window_s = window_s
 
+    def quiet_iterations(self, engine: "ServingEngine",
+                         plan: Sequence[Event]) -> int:
+        # a window records no preemption: the trailing count only ages out
+        return len(plan)
+
     def check(self, engine: "ServingEngine") -> Alert | None:
         preemptions = engine.log.of_type(EventType.PREEMPTION)
         cutoff = engine.clock - self.window_s
@@ -154,6 +181,15 @@ class KvHighWaterRule(AlertRule):
     def __init__(self, threshold: float = 0.95) -> None:
         self.threshold = threshold
 
+    def quiet_iterations(self, engine: "ServingEngine",
+                         plan: Sequence[Event]) -> int:
+        # stop before the first iteration whose block crossing reaches
+        # the mark (the event carries the utilization check() would read)
+        for j, event in enumerate(plan):
+            if event.kv_utilization >= self.threshold:
+                return j
+        return len(plan)
+
     def check(self, engine: "ServingEngine") -> Alert | None:
         utilization = engine.kv.utilization
         if utilization < self.threshold:
@@ -173,6 +209,10 @@ class EmptyPercentileRule(AlertRule):
     so dashboards reading them silently show nothing."""
 
     name = "empty_percentiles"
+
+    def quiet_iterations(self, engine: "ServingEngine",
+                         plan: Sequence[Event]) -> int:
+        return len(plan)  # fires only at run end
 
     def check_end(self, engine: "ServingEngine",
                   result: "ServingResult") -> Alert | None:
@@ -204,6 +244,11 @@ class FaultStormRule(AlertRule):
         self.max_events = max_events
         self.window_s = window_s
 
+    def quiet_iterations(self, engine: "ServingEngine",
+                         plan: Sequence[Event]) -> int:
+        # a window records no fault: the trailing count only ages out
+        return len(plan)
+
     def check(self, engine: "ServingEngine") -> Alert | None:
         faults = engine.log.of_type(EventType.FAULT)
         cutoff = engine.clock - self.window_s
@@ -231,6 +276,10 @@ class UnrecoverableLossRule(AlertRule):
     snapshots the engine at the moment of loss."""
 
     name = "unrecoverable_loss"
+
+    def quiet_iterations(self, engine: "ServingEngine",
+                         plan: Sequence[Event]) -> int:
+        return len(plan) if getattr(engine, "faults", None) is None else 0
 
     def check(self, engine: "ServingEngine") -> Alert | None:
         faults = getattr(engine, "faults", None)
@@ -260,6 +309,11 @@ class DeviceSaturationRule(AlertRule):
     def __init__(self, threshold: float = 0.85, min_windows: int = 3) -> None:
         self.threshold = threshold
         self.min_windows = min_windows
+
+    def quiet_iterations(self, engine: "ServingEngine",
+                         plan: Sequence[Event]) -> int:
+        obs = engine.obs
+        return len(plan) if obs is None or obs.cluster is None else 0
 
     def check(self, engine: "ServingEngine") -> Alert | None:
         obs = engine.obs
@@ -376,6 +430,19 @@ class AlertMonitor:
             alert = rule.check(engine)
             if alert is not None:
                 self._fire(alert, engine)
+
+    def quiet_iterations(self, engine: "ServingEngine",
+                         plan: Sequence[Event]) -> int:
+        """Leading iterations of a decode window on which no untripped
+        rule can fire: the minimum of the rules' answers (see
+        :meth:`AlertRule.quiet_iterations`)."""
+        quiet = len(plan)
+        for rule in self.rules:
+            if quiet == 0:
+                break
+            if rule.name not in self._tripped:
+                quiet = min(quiet, rule.quiet_iterations(engine, plan))
+        return quiet
 
     def on_run_end(self, engine: "ServingEngine",
                    result: "ServingResult") -> None:

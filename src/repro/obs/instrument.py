@@ -14,7 +14,7 @@ benchmark to price the disabled path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -63,6 +63,73 @@ class Instrumentation:
     """Mirror of the owning engine's simulated clock, updated each
     iteration so clock-less components (scheduler, KV cache) can stamp
     spans at the current simulated time."""
+
+    @property
+    def windowable(self) -> bool:
+        """Whether the engine may advance decode windows under this handle.
+
+        A window writes no per-iteration spans, request timelines, routing
+        samples or device lanes, so an enabled span tracer, a request
+        tracer, a routing probe or cluster telemetry keeps the scalar
+        path.  Metrics take a window as one :meth:`record_iterations`
+        commit, SLO scoring has nothing to record (no request arrives,
+        completes or is preempted inside a window), and alert rules bound
+        the window through ``AlertRule.quiet_iterations``."""
+        return not (self.tracer.enabled or self.reqtrace is not None
+                    or self.routing is not None or self.cluster is not None)
+
+    def record_iterations(self, *, kv_op: str | None = None,
+                          kv_ops: int = 1, kv_blocks: int = 0,
+                          kv_utilization: float = 0.0,
+                          phase: str | None = None, num_tokens: int = 0,
+                          durations: Sequence[float] = ()) -> None:
+        """Engine metrics for a run of iterations: the one place these
+        metric names are written, shared by ``PagedKVCache`` (one KV
+        operation), the scalar engine step (one iteration) and a decode
+        window (a batch commit).
+
+        The KV part counts ``kv_ops`` operations of kind ``kv_op`` moving
+        ``kv_blocks`` blocks and sets ``kv_utilization`` to its final
+        value; the iteration part counts ``len(durations)`` iterations of
+        ``num_tokens`` tokens each and observes every duration into
+        ``step_time_seconds`` in order.  Counter increments are exact
+        integer products, and the histogram sum adds the durations in
+        iteration order, so a batch commit leaves the same bits as one
+        call per operation.  Metrics are created in the order the scalar
+        loop creates them (KV before iterations), because
+        :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` is ordered by
+        insertion."""
+        metrics = self.metrics
+        if kv_op is not None:
+            op = {"op": kv_op}
+            metrics.counter(
+                "kv_ops_total", "KV-cache block-manager operations",
+                labels=op,
+            ).inc(kv_ops)
+            if kv_blocks:
+                metrics.counter(
+                    "kv_blocks_total", "blocks moved by KV operations",
+                    labels=op,
+                ).inc(kv_blocks)
+            metrics.gauge(
+                "kv_utilization", "fraction of KV blocks in use"
+            ).set(kv_utilization)
+        if phase is not None:
+            labels = {"phase": phase}
+            n = len(durations)
+            metrics.counter(
+                "engine_iterations_total", "engine iterations", labels=labels
+            ).inc(n)
+            metrics.counter(
+                "tokens_processed_total", "new tokens processed",
+                labels=labels,
+            ).inc(num_tokens * n)
+            observe = metrics.histogram(
+                "step_time_seconds", "simulated iteration duration",
+                labels=labels,
+            ).observe
+            for duration_s in durations:
+                observe(duration_s)
 
     @classmethod
     def on(cls, model=None, routing_rng: np.random.Generator | None = None,

@@ -34,6 +34,7 @@ from repro.obs.metrics import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serving.engine import ServingEngine
+    from repro.serving.events import Event
     from repro.serving.request import Request
 
 __all__ = [
@@ -273,8 +274,9 @@ class SloTracker:
 
     def window_counts(self, name: str, now: float,
                       window_s: float) -> tuple[int, int]:
-        """(total, bad) samples with terminal time in ``(now - window_s,
-        now]``."""
+        """(total, bad) samples with terminal time in ``[now - window_s,
+        now]``: a sample exactly ``window_s`` old still counts (the test is
+        ``t < now - window_s`` to drop it)."""
         cutoff = now - window_s
         total = bad = 0
         for t, is_bad in reversed(self._samples[name]):
@@ -331,10 +333,50 @@ class BurnRateRule(AlertRule):
         self.name = (f"slo_burn_{slo.name}_"
                      f"{long_window_s:g}s")
 
-    def check(self, engine: "ServingEngine") -> Alert | None:
+    def _tracker(self, engine: "ServingEngine") -> SloTracker | None:
         obs = engine.obs
         tracker = getattr(obs, "slo", None) if obs is not None else None
         if tracker is None or self.slo.name not in tracker._samples:
+            return None
+        return tracker
+
+    def quiet_iterations(self, engine: "ServingEngine",
+                         plan: Sequence[Event]) -> int:
+        """No sample arrives inside a window, so both windows' counts can
+        only fall as the clock advances.  With fewer than ``min_samples``
+        long-window samples, or no bad sample in either window, the rule
+        cannot fire at all.  Otherwise its counts, and so its answer, stay
+        those of the current clock until the oldest counted sample of
+        either window drops out: the window stops before the first
+        planned end clock where that happens, tested as ``t < end -
+        window_s``, the comparison :meth:`SloTracker.window_counts`
+        uses."""
+        tracker = self._tracker(engine)
+        if tracker is None:
+            return len(plan)
+        name = self.slo.name
+        now = engine.clock
+        long_total, long_bad = tracker.window_counts(
+            name, now, self.long_window_s)
+        short_total, short_bad = tracker.window_counts(
+            name, now, self.short_window_s)
+        if long_total < self.min_samples or not long_bad or not short_bad:
+            return len(plan)
+        if self.check(engine) is not None:
+            return 0
+        samples = tracker._samples[name]
+        long_oldest = samples[-long_total][0]
+        short_oldest = samples[-short_total][0]
+        for j, event in enumerate(plan):
+            end = event.time
+            if (long_oldest < end - self.long_window_s
+                    or short_oldest < end - self.short_window_s):
+                return j
+        return len(plan)
+
+    def check(self, engine: "ServingEngine") -> Alert | None:
+        tracker = self._tracker(engine)
+        if tracker is None:
             return None
         now = engine.clock
         total, _ = tracker.window_counts(self.slo.name, now,

@@ -24,6 +24,10 @@ Toggles: ``REPRO_NO_STEPCACHE=1`` in the environment disables the global
 cache at import; :func:`configure` flips it at runtime; counters come
 back from :func:`stats` and flow into the ``repro.obs`` metrics registry
 via the serving engine (``stepcache_hits_total`` / ``stepcache_misses_total`` gauges).
+Those gauges count host step-cache lookups, not simulated work: the
+engine's decode-window iterations make no lookups, so the gauges vary
+with execution mode (``REPRO_NO_VECTORIZE_ENGINE``, ``REPRO_NO_STEPCACHE``)
+while every other metric is bit-identical across modes.
 """
 
 from __future__ import annotations

@@ -310,9 +310,11 @@ class ServingEngine:
         """Batched decode-window advance (phase-2 fast path), or ``None``
         under ``REPRO_NO_VECTORIZE_ENGINE``.  Bit-identical to repeated
         ``step()`` calls by construction; it additionally falls back
-        per-window whenever instrumentation is active, a fault schedule
-        is armed, or the next iteration is not a quiet decode step (see
-        :mod:`repro.serving.fastpath`)."""
+        per-window whenever instrumentation carries a hook without a
+        window contract (enabled spans, request timelines, routing,
+        cluster telemetry, an alert rule that could fire), a fault
+        schedule is armed, or the next iteration is not a quiet decode
+        step (see :mod:`repro.serving.fastpath`)."""
 
     def _active_obs(self) -> "Instrumentation | None":
         obs = self.obs
@@ -478,7 +480,9 @@ class ServingEngine:
         ``clock < horizon``; the last one may overshoot, exactly like a
         scalar iteration).  Returns the iterations advanced; 0 means the
         next iteration needs the scalar :meth:`step` — admission, prefill,
-        completion, preemption, faults, or instrumentation."""
+        completion, preemption, faults, a per-iteration observability
+        hook, or an alert rule that could fire.  Metrics and SLO scoring
+        stay on; the window commits its metrics in one batch."""
         if self.fastpath is None:
             return 0
         return self.fastpath.decode_window(horizon)
@@ -685,16 +689,8 @@ class ServingEngine:
         tracer.counter("scheduler_queues", self.clock,
                        {"running": self.scheduler.num_running,
                         "waiting": len(self.scheduler.waiting)})
-        phase = {"phase": batch.phase}
-        obs.metrics.counter(
-            "engine_iterations_total", "engine iterations", labels=phase
-        ).inc()
-        obs.metrics.counter(
-            "tokens_processed_total", "new tokens processed", labels=phase
-        ).inc(batch.num_tokens)
-        obs.metrics.histogram(
-            "step_time_seconds", "simulated iteration duration", labels=phase
-        ).observe(duration_s)
+        obs.record_iterations(phase=batch.phase, num_tokens=batch.num_tokens,
+                              durations=(duration_s,))
         if obs.routing is not None:
             obs.routing.on_tokens(batch.num_tokens)
         if obs.cluster is not None and step_shape is not None:

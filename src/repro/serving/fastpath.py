@@ -47,9 +47,11 @@ would be "quiet"; anything else returns 0 and the caller runs the plain
 
 * ``REPRO_NO_VECTORIZE_ENGINE`` is set (checked once at engine
   construction — see ``ServingEngine.fastpath``);
-* instrumentation is active (spans, metrics and step-cache gauges must
-  see every iteration) or a fault schedule is armed (faults advance on
-  the scalar clock and may perturb durations);
+* active instrumentation carries a hook without a window contract: an
+  enabled span tracer, a request tracer, a routing probe or cluster
+  telemetry (see ``Instrumentation.windowable``);
+* a fault schedule is armed (faults advance on the scalar clock and may
+  perturb durations);
 * the waiting queue is non-empty (the next iteration may prefill) or a
   pending arrival is due at or before the current clock;
 * any running request samples EOS (``eos_probability > 0`` without
@@ -57,7 +59,19 @@ would be "quiet"; anything else returns 0 and the caller runs the plain
   is part of the replay contract;
 * the next iteration would finish a request (windows stop one iteration
   short of the earliest ``max_tokens`` completion) or needs more KV
-  blocks than are available (the preemption decision stays scalar).
+  blocks than are available (the preemption decision stays scalar);
+* an armed alert rule could fire on it: the window is planned first, as
+  one DECODE event per iteration, and cut to
+  ``AlertMonitor.quiet_iterations`` before any state is committed (a rule
+  without a window contract answers 0).
+
+The hooks a window keeps see it as the scalar loop would have: metrics
+take one batch commit through ``Instrumentation.record_iterations``
+(exact counter products, durations observed in iteration order, metrics
+created in scalar order), and the SLO tracker has nothing to record,
+because no request arrives, completes or is preempted inside a window.
+Only the two step-cache gauges differ, since window iterations make no
+step-cache lookups.
 
 A window bounded by a fleet horizon resumes on the next
 ``Replica.advance_to`` with every remaining duration already in the
@@ -68,12 +82,14 @@ events.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from typing import TYPE_CHECKING
 
 from repro.perfmodel import stepcache
 from repro.serving.events import Event, EventType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.obs.instrument import Instrumentation
     from repro.serving.engine import ServingEngine
 
 __all__ = ["EngineFastPath", "engine_vectorize_enabled"]
@@ -191,7 +207,8 @@ class EngineFastPath:
         advanced; 0 means the scalar ``step()`` must take the next one.
         State is untouched whenever 0 is returned."""
         engine = self.engine
-        if engine._active_obs() is not None:
+        obs = engine._active_obs()
+        if obs is not None and not obs.windowable:
             return 0
         if engine.faults is not None and engine.faults.active:
             return 0
@@ -241,6 +258,7 @@ class EngineFastPath:
         crossings.sort()
         total_pops = len(crossings)
 
+        # plan: one DECODE event per iteration, state untouched
         durations = self._window_durations(batch, kv_sum, limit)
         request_ids = tuple(r.request_id for r in running)
         num_blocks = kv.num_blocks
@@ -263,8 +281,6 @@ class EngineFastPath:
             if pops:
                 if pops > available:
                     break  # pool dry: the preemption decision stays scalar
-                for k in range(pops):
-                    kv.append_block(tables[crossings[pop_at + k][1]])
                 pop_at += pops
                 free -= pops
                 available -= pops
@@ -277,13 +293,46 @@ class EngineFastPath:
             ))
             done += 1
 
+        if done and obs is not None and obs.alerts is not None:
+            done = obs.alerts.quiet_iterations(engine, events)
+            if done < len(events):
+                del events[done:]
+                pop_at = bisect_left(crossings, (done + 1,))
         if not done:
             return 0
+
+        # commit: pops in scalar order, then counters, clock and log
+        for k in range(pop_at):
+            kv.append_block(tables[crossings[k][1]])
         for req in running:
             req.generated_tokens += done
             req.kv_tokens += done
         for table in tables:
             table.num_tokens += done
-        engine.clock = clock
+        engine.clock = events[-1].time
         engine.log.extend(events)
+        if obs is not None:
+            obs.now = engine.clock
+            self._record_metrics(obs, events, crossings, batch)
         return done
+
+    @staticmethod
+    def _record_metrics(obs: "Instrumentation", events: list[Event],
+                        crossings: list[tuple[int, int]], batch: int) -> None:
+        """The window's metrics as two batch commits: its first iteration,
+        then the rest.  A window's first iteration may create the decode
+        metrics and a later one ``kv_blocks_total{op="append"}``, so the
+        split keeps the registry's insertion order equal to the scalar
+        loop's."""
+        for start, stop in ((0, 1), (1, len(events))):
+            if stop == start:
+                break
+            span = events[start:stop]
+            # crossings carry 1-based iteration numbers
+            pops = (bisect_left(crossings, (stop + 1,))
+                    - bisect_left(crossings, (start + 1,)))
+            obs.record_iterations(
+                kv_op="append", kv_ops=batch * len(span), kv_blocks=pops,
+                kv_utilization=span[-1].kv_utilization,
+                phase="decode", num_tokens=batch,
+                durations=[e.duration_s for e in span])

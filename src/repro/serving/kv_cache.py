@@ -63,18 +63,8 @@ class PagedKVCache:
         tracer = obs.tracer
         tracer.begin(f"kv.{op}", obs.now, cat="kv", seq_id=seq_id, blocks=blocks)
         tracer.end(obs.now)
-        obs.metrics.counter(
-            "kv_ops_total", "KV-cache block-manager operations",
-            labels={"op": op},
-        ).inc()
-        if blocks:
-            obs.metrics.counter(
-                "kv_blocks_total", "blocks moved by KV operations",
-                labels={"op": op},
-            ).inc(blocks)
-        obs.metrics.gauge(
-            "kv_utilization", "fraction of KV blocks in use"
-        ).set(self.utilization)
+        obs.record_iterations(kv_op=op, kv_blocks=blocks,
+                              kv_utilization=self.utilization)
 
     # ------------------------------------------------------------------ #
     # queries

@@ -10,7 +10,9 @@ both modes and assert the exact digests match:
 * ``run_digest`` hashes every event float via ``float.hex`` plus every
   per-request outcome — one differing bit anywhere fails;
 * ``fleet_digest`` does the same for the multi-replica simulator, whose
-  ``Replica.advance_to`` is the horizon-bounded window consumer.
+  ``Replica.advance_to`` is the horizon-bounded window consumer;
+* observed runs (metrics, alert rules, SLO burn rules attached) also
+  compare fired alerts, the SLO report and the metrics snapshot.
 
 The mode toggle (``REPRO_NO_VECTORIZE_ENGINE``) is read once at engine
 construction, so the helpers set the environment *before* building the
@@ -22,6 +24,7 @@ end-to-end).
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -30,11 +33,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.faults.invariants import run_digest
+from repro.obs import Instrumentation
+from repro.obs.alerts import AlertMonitor, AlertRule, KvHighWaterRule, \
+    default_rules
+from repro.obs.slo import SLO, BurnRateRule, SloTracker, sre_burn_rules
+from repro.obs.trace import SpanTracer
 from repro.hardware.gpus import H100_SXM
 from repro.models.zoo import get_model
 from repro.perfmodel import stepcache
 from repro.perfmodel.inference import InferencePerfModel
 from repro.serving.engine import ServingEngine
+from repro.serving.fastpath import EngineFastPath
 from repro.serving.request import Request, SamplingParams
 from repro.serving.scheduler import SchedulerConfig
 
@@ -221,6 +230,148 @@ class TestFaultAndFleetEquivalence:
         assert fast == scalar
 
 
+def _lean_obs(alerts=None, slo=None) -> Instrumentation:
+    """A handle that takes decode windows: span tracer disabled, no request
+    tracer, routing probe or cluster telemetry."""
+    obs = Instrumentation(tracer=SpanTracer(enabled=False), alerts=alerts,
+                          slo=slo)
+    if slo is not None:
+        slo.align_buckets(obs.metrics)
+    return obs
+
+
+def _spy_quiet(monkeypatch, rule_cls) -> list[tuple[int, int]]:
+    """Record ``(answer, planned iterations)`` for every window-contract
+    query ``rule_cls`` answers."""
+    answers: list[tuple[int, int]] = []
+    real = rule_cls.quiet_iterations
+
+    def spy(self, engine, plan):
+        quiet = real(self, engine, plan)
+        answers.append((quiet, len(plan)))
+        return quiet
+
+    monkeypatch.setattr(rule_cls, "quiet_iterations", spy)
+    return answers
+
+
+_HOST_GAUGES = ("stepcache_hits_total", "stepcache_misses_total")
+"""Host step-cache lookup counts: window iterations make none, so these
+gauges vary with execution mode."""
+
+
+def _observed_modes_equal(monkeypatch, make_obs, serve) -> None:
+    """Run ``serve(obs)`` under a fresh ``make_obs()`` handle in both modes
+    and require identical events, alerts, SLO report and metrics.  The two
+    step-cache gauges count host cache lookups, which window iterations do
+    not make, so they are masked.  The fast mode must take windows."""
+    windows: list[int] = []
+    real = EngineFastPath.decode_window
+
+    def counted(self, horizon):
+        advanced = real(self, horizon)
+        windows.append(advanced)
+        return advanced
+
+    monkeypatch.setattr(EngineFastPath, "decode_window", counted)
+
+    def observe(vectorize: bool):
+        stepcache.clear()
+        windows.clear()
+        with _engine_mode(vectorize):
+            obs = make_obs()
+            result = serve(obs)
+        metrics = json.loads(obs.metrics.to_json())
+        for metric in metrics["metrics"]:
+            if metric["name"] in _HOST_GAUGES:
+                metric["value"] = None
+        alerts = [(a.rule, float.hex(a.time)) for a in obs.alerts.fired] \
+            if obs.alerts is not None else None
+        slo = obs.slo.report(result.makespan) if obs.slo is not None \
+            else None
+        return (run_digest(result), alerts, slo, metrics), sum(windows)
+
+    fast, fast_windows = observe(True)
+    scalar, _ = observe(False)
+    assert fast[0] == scalar[0]  # events and request outcomes
+    assert fast[1] == scalar[1]  # fired alerts
+    assert fast[2] == scalar[2]  # SLO report
+    assert fast[3] == scalar[3]  # metrics, in registry order
+    assert fast_windows > 0
+
+
+def _submit_all(engine: ServingEngine, specs) -> None:
+    for rid, (prompt, out, arrival) in enumerate(specs):
+        engine.submit(Request(
+            request_id=rid, prompt_tokens=prompt,
+            sampling=SamplingParams(max_tokens=out), arrival_time=arrival))
+
+
+class TestObservedWindowEquivalence:
+    """Instrumented runs take decode windows when every attached hook has
+    a window contract, and stay bit-identical to the scalar loop."""
+
+    @pytest.mark.parametrize("rate", [2.0, 8.0, 32.0, 128.0])
+    def test_lean_slo_handle_at_ext_slo_load_rates(self, monkeypatch, rate):
+        from repro.experiments.slo import LOAD_SLOS, _lean_slo_obs
+        from repro.obs.harness import poisson_serving_run
+
+        _observed_modes_equal(
+            monkeypatch, lambda: _lean_slo_obs(LOAD_SLOS),
+            lambda obs: poisson_serving_run(
+                arrival_rate_rps=rate, num_requests=120,
+                instrumentation=obs))
+
+    @pytest.mark.parametrize("prompt", [250, 256])
+    def test_metrics_only_handle(self, monkeypatch, prompt):
+        """A 256-token prompt crosses a block on its first decode, a
+        250-token one seven iterations in: ``kv_blocks_total{op=append}``
+        is created before or after the decode metrics accordingly."""
+        def serve(obs):
+            engine = ServingEngine(_perf("OLMoE-1B-7B"),
+                                   kv_pool_tokens=32_768,
+                                   instrumentation=obs)
+            _submit_all(engine, [(prompt, 48, 0.0)] * 4
+                        + [(prompt, 40, 0.02 + 0.003 * i) for i in range(4)])
+            return engine.run()
+
+        _observed_modes_equal(monkeypatch, _lean_obs, serve)
+
+    def test_default_rules_kv_high_water_trips_mid_window(self, monkeypatch):
+        answers = _spy_quiet(monkeypatch, KvHighWaterRule)
+
+        def serve(obs):
+            engine = ServingEngine(_perf("OLMoE-1B-7B"), kv_pool_tokens=2048,
+                                   instrumentation=obs)
+            _submit_all(engine, [(200, 96, 0.004 * i) for i in range(8)])
+            return engine.run()
+
+        _observed_modes_equal(
+            monkeypatch, lambda: _lean_obs(AlertMonitor(default_rules())),
+            serve)
+        assert any(0 < quiet < planned for quiet, planned in answers)
+
+    def test_burn_rules_expire_samples_mid_window(self, monkeypatch):
+        """Nearly half the TTFTs miss 15 ms at saturation: good samples
+        ageing out of the 0.3 s window raise its burn rate until the slow
+        page fires, at an iteration a window would otherwise skip."""
+        from repro.obs.harness import poisson_serving_run
+
+        answers = _spy_quiet(monkeypatch, BurnRateRule)
+        slos = (SLO.parse("p90 ttft < 0.015s"),)
+
+        def make_obs():
+            return _lean_obs(AlertMonitor(sre_burn_rules(slos, hour_s=0.05)),
+                             SloTracker(slos))
+
+        _observed_modes_equal(
+            monkeypatch, make_obs,
+            lambda obs: poisson_serving_run(
+                arrival_rate_rps=128.0, num_requests=60,
+                instrumentation=obs))
+        assert any(0 < quiet < planned for quiet, planned in answers)
+
+
 class TestFastPathMechanics:
     def test_env_escape_hatch_disables_fastpath(self):
         with _engine_mode(False):
@@ -228,16 +379,28 @@ class TestFastPathMechanics:
             assert engine.fastpath is None
             assert engine.advance_window() == 0
 
-    def test_window_refuses_instrumented_engine(self):
-        from repro.obs import Instrumentation
-
+    @staticmethod
+    def _after_prefill(obs: Instrumentation) -> ServingEngine:
         with _engine_mode(True):
             engine = ServingEngine(_perf("OLMoE-1B-7B"),
-                                   instrumentation=Instrumentation())
-            engine.submit(Request(request_id=0, prompt_tokens=64,
-                                  sampling=SamplingParams(max_tokens=32)))
-            engine.step()  # prefill
-            assert engine.advance_window() == 0
+                                   instrumentation=obs)
+        engine.submit(Request(request_id=0, prompt_tokens=64,
+                              sampling=SamplingParams(max_tokens=32)))
+        engine.step()  # prefill
+        return engine
+
+    def test_window_refuses_traced_engine(self):
+        assert self._after_prefill(Instrumentation()).advance_window() == 0
+        assert self._after_prefill(_lean_obs()).advance_window() > 0
+
+    def test_window_refuses_custom_alert_rule(self):
+        """A rule without a window contract answers 0 quiet iterations,
+        so the engine keeps the scalar path while it is armed."""
+        class EveryIteration(AlertRule):
+            name = "every_iteration"
+
+        armed = _lean_obs(AlertMonitor([EveryIteration()]))
+        assert self._after_prefill(armed).advance_window() == 0
 
     def test_window_matches_scalar_steps_midstream(self):
         """Drive one engine with explicit windows and another purely with

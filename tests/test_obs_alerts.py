@@ -11,6 +11,7 @@ from repro.hardware.gpus import H100_SXM
 from repro.models.zoo import get_model
 from repro.obs.alerts import (
     AlertMonitor,
+    AlertRule,
     EmptyPercentileRule,
     ExpertImbalanceRule,
     FlightRecorder,
@@ -121,6 +122,58 @@ class TestRules:
             "empty_percentiles", "fault_storm", "unrecoverable_loss",
             "device_saturation",
         }
+
+
+class TestWindowContract:
+    """``quiet_iterations``: how far a decode window may run before a rule
+    could fire (see ``repro.serving.fastpath``)."""
+
+    @staticmethod
+    def _plan(*utilizations):
+        return [Event(0.1 * (j + 1), EventType.DECODE, kv_utilization=u)
+                for j, u in enumerate(utilizations)]
+
+    @staticmethod
+    def _stub(faults=None):
+        from types import SimpleNamespace
+
+        obs = SimpleNamespace(routing=None, cluster=None)
+        return SimpleNamespace(obs=obs, faults=faults, clock=0.0)
+
+    def test_kv_high_water_stops_before_the_crossing(self):
+        rule = KvHighWaterRule(threshold=0.5)
+        plan = self._plan(0.25, 0.375, 0.5, 0.625)
+        assert rule.quiet_iterations(self._stub(), plan) == 2
+        assert rule.quiet_iterations(self._stub(), plan[:2]) == 2
+
+    def test_default_rules_answer_all_without_their_sources(self):
+        plan = self._plan(0.25, 0.25, 0.25)
+        for rule in default_rules():
+            assert rule.quiet_iterations(self._stub(), plan) == 3, rule.name
+
+    def test_custom_rule_defaults_to_the_scalar_path(self):
+        class Custom(AlertRule):
+            name = "custom"
+
+        plan = self._plan(0.25)
+        assert Custom().quiet_iterations(self._stub(), plan) == 0
+        assert AlertMonitor(rules=[Custom()]).quiet_iterations(
+            self._stub(), plan) == 0
+
+    def test_monitor_takes_the_minimum_of_untripped_rules(self):
+        plan = self._plan(0.25, 0.5, 0.75)
+        monitor = AlertMonitor(rules=[KvHighWaterRule(threshold=0.7),
+                                      PreemptionStormRule()])
+        assert monitor.quiet_iterations(self._stub(), plan) == 2
+        monitor._tripped.add("kv_high_water")
+        assert monitor.quiet_iterations(self._stub(), plan) == 3
+
+    def test_fault_sourced_rules_keep_the_scalar_path_with_an_injector(self):
+        from repro.obs.alerts import UnrecoverableLossRule
+
+        plan = self._plan(0.25)
+        assert UnrecoverableLossRule().quiet_iterations(
+            self._stub(faults=object()), plan) == 0
 
 
 class TestFlightRecorder:

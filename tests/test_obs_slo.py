@@ -24,6 +24,7 @@ from repro.obs.slo import (
     run_slo_scenario,
     sre_burn_rules,
 )
+from repro.serving.events import Event, EventType
 from repro.serving.request import Request, RequestState, SamplingParams
 
 
@@ -154,6 +155,17 @@ class TestSloTracker:
                                            window_s=100.0)
         assert (total, bad) == (10, 5)
 
+    def test_sample_exactly_window_old_still_counts(self):
+        """The window is closed at its old end: a sample at ``now -
+        window_s`` counts, and drops only once ``t < now - window_s``."""
+        tracker = SloTracker((SLO.parse("availability >= 99%"),))
+        tracker._samples["availability"].extend([(1.0, True), (1.25, False)])
+        assert 1.5 - 0.5 == 1.0  # the boundary is exact in binary
+        assert tracker.window_counts("availability", now=1.5,
+                                     window_s=0.5) == (2, 1)
+        assert tracker.window_counts("availability", now=1.5000001,
+                                     window_s=0.5) == (1, 0)
+
     def test_burn_rate_is_bad_fraction_over_budget_fraction(self):
         slo = SLO.parse("availability >= 99%")  # budget fraction 0.01
         tracker = SloTracker((slo,))
@@ -278,6 +290,51 @@ class TestBurnRateRule:
                             short_window_s=0.5, factor=1.0)
         engine = SimpleNamespace(obs=None, clock=0.0)
         assert rule.check(engine) is None
+
+    @staticmethod
+    def _plan(*ends):
+        return [Event(t, EventType.DECODE) for t in ends]
+
+    def test_quiet_until_the_oldest_counted_sample_drops(self):
+        """Burning but not yet paging (too few short-window bad samples):
+        the window may run until a counted sample ages out.  An end clock
+        exactly ``window_s`` past the oldest sample keeps it."""
+        tracker = self._tracker([(1.0, True), (1.25, False), (1.375, True),
+                                 (1.5, False)])
+        rule = BurnRateRule(self.SLO99, long_window_s=0.5,
+                            short_window_s=0.25, factor=200.0)
+        engine = _engine_stub(tracker, now=1.5)
+        assert rule.check(engine) is None
+        # long oldest 1.0 drops after 1.5; short oldest 1.25 after 1.5
+        plan = self._plan(1.5, 1.5000001, 1.6)
+        assert rule.quiet_iterations(engine, plan) == 1
+        rule = BurnRateRule(self.SLO99, long_window_s=1.0,
+                            short_window_s=0.25, factor=200.0)
+        # long oldest 1.0 stays until 2.0; short oldest 1.25 drops after 1.5
+        assert rule.quiet_iterations(engine, self._plan(1.5, 1.75)) == 1
+        assert rule.quiet_iterations(engine, self._plan(1.5, 1.5)) == 2
+
+    def test_quiet_for_the_whole_window_when_it_cannot_fire(self):
+        plan = self._plan(1.25, 1.5, 2.0)
+        rule = BurnRateRule(self.SLO99, long_window_s=1.0,
+                            short_window_s=0.5, factor=1.0, min_samples=4)
+        # too few samples, no bad sample, or a calm short window: the
+        # counts can only fall while no request completes
+        few = self._tracker([(0.25, True), (0.5, True)])
+        good = self._tracker([(t / 10.0, False) for t in range(6)])
+        calm = self._tracker([(0.0, True)] * 4 + [(0.875, False)])
+        for tracker in (few, good, calm):
+            assert rule.quiet_iterations(
+                _engine_stub(tracker, now=1.0), plan) == 3
+        engine = SimpleNamespace(obs=None, clock=0.0)
+        assert rule.quiet_iterations(engine, plan) == 3
+
+    def test_not_quiet_when_it_would_fire_now(self):
+        tracker = self._tracker([(t / 10.0, True) for t in range(8)])
+        rule = BurnRateRule(self.SLO99, long_window_s=1.0,
+                            short_window_s=0.2, factor=14.4)
+        engine = _engine_stub(tracker, now=0.7)
+        assert rule.quiet_iterations(engine, self._plan(0.71)) == 0
 
     def test_sre_policy_has_fast_and_slow_pages_per_slo(self):
         rules = sre_burn_rules(DEFAULT_SLOS, hour_s=2.0)
