@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -117,3 +119,63 @@ class TestDropExperts:
         router = TopKRouter(16, 4, 3, rng=rng)
         pruned = router.drop_experts(np.array([0, 1]))
         assert pruned.top_k == 2
+
+
+# (num_experts, top_k): the Fig. 15 geometries (DeepSeek-VL2-Tiny/Small,
+# DeepSeek-VL2, MolmoE-1B), the routing-probe shape, a 160-expert router,
+# and the two boundary cases k == E and k == E - 1
+_GOLDEN_GEOMETRIES = ((64, 6), (72, 6), (64, 8), (8, 2), (160, 6),
+                      (16, 16), (16, 15))
+# the balanced and unbalanced calibrated bias spreads of the activation study
+_GOLDEN_BIAS_STDS = (0.15, 0.75)
+# 3,616 is the remainder chunk of a 20,000-token study in 16,384-token chunks
+_GOLDEN_TOKENS = (0, 1, 37, 3_616)
+_GOLDEN_COUNTS_DIGEST = "e1ad443a11027f551c0074eebfd03b62c684295f54184cdd49428a9e4537a7fd"
+
+
+def _golden_batches(router, seed):
+    """The ``(router, tokens)`` pairs hashed for one router: Gaussian
+    batches at every golden token count, a lattice router whose logits
+    tie at the top-k boundary, and one with infinite biases fed a NaN."""
+    rng = np.random.default_rng(seed)
+    for n in _GOLDEN_TOKENS:
+        yield router, rng.normal(size=(n, router.hidden_size)).astype(np.float32)
+    lattice = TopKRouter(router.hidden_size, router.num_experts, router.top_k,
+                         rng=np.random.default_rng(seed))
+    lattice.weight = rng.integers(
+        -1, 2, size=lattice.weight.shape).astype(np.float32)
+    lattice.bias[:] = 0.0
+    yield lattice, rng.integers(
+        -1, 2, size=(64, router.hidden_size)).astype(np.float32)
+    nonfinite = TopKRouter(router.hidden_size, router.num_experts,
+                           router.top_k, rng=np.random.default_rng(seed))
+    nonfinite.bias[0] = np.inf
+    nonfinite.bias[-1] = -np.inf
+    x = rng.normal(size=(16, router.hidden_size)).astype(np.float32)
+    x[3, 5] = np.nan
+    yield nonfinite, x
+
+
+def _route_counts_digest() -> str:
+    h = hashlib.sha256()
+    seed = 0
+    for num_experts, top_k in _GOLDEN_GEOMETRIES:
+        for bias_std in _GOLDEN_BIAS_STDS:
+            seed += 1
+            router = TopKRouter(128, num_experts, top_k,
+                                expert_bias_std=bias_std,
+                                rng=np.random.default_rng(seed))
+            for r, x in _golden_batches(router, seed):
+                counts = r.route_counts(x)
+                h.update(f"{counts.dtype.str}{counts.shape};".encode())
+                h.update(counts.tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenRouteCounts:
+    def test_route_counts_bytes_match_recorded_digest(self):
+        """The bytes of ``route_counts`` over a fixed geometry x bias x
+        token-count grid (plus tied and non-finite batches), hashed: any
+        change to which experts win, or to the count dtype, fails here.
+        Re-record only for an intended routing change."""
+        assert _route_counts_digest() == _GOLDEN_COUNTS_DIGEST
