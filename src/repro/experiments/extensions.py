@@ -263,14 +263,17 @@ def run_placement() -> ExperimentResult:
          "improvement_pct"),
     )
     models = ("DeepSeek-VL2-Tiny", "MolmoE-1B")
-
-    def point(model: str, ep: int) -> dict:
-        tracker = run_activation_study(
+    # the study never reads the EP size, so each model is routed once
+    loads = {
+        model: run_activation_study(
             get_model(model), rng=np.random.default_rng(5),
             max_routed_tokens=20_000,
-        )
-        loads = tracker.heatmap().sum(axis=0).astype(float)
-        cmp = compare_placements(loads, ep)
+        ).heatmap().sum(axis=0).astype(float)
+        for model in models
+    }
+
+    def point(model: str, ep: int) -> dict:
+        cmp = compare_placements(loads[model], ep)
         return {
             "default_imbalance": cmp["default_imbalance"],
             "optimized_imbalance": cmp["optimized_imbalance"],

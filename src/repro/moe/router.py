@@ -141,7 +141,9 @@ class TopKRouter:
             raise ValueError(
                 f"x must be (num_tokens, {self.hidden_size}), got {x.shape}"
             )
-        return x @ self.weight + self.bias
+        out = x @ self.weight
+        out += self.bias
+        return out
 
     def route(self, x: np.ndarray) -> RoutingResult:
         """Route tokens to their top-k experts."""
@@ -160,20 +162,41 @@ class TopKRouter:
     def route_counts(self, x: np.ndarray) -> np.ndarray:
         """Per-expert token counts of the top-k decision for ``x``.
 
-        Bit-identical to ``route(x).expert_counts()`` — counts depend only
-        on *which* experts win, so the softmax, combine weights and
-        within-top-k ordering are skipped (the argpartition that fixes the
-        winning set is the same call :func:`top_k_indices` makes).  Falls
-        back to the full path when observers are subscribed so telemetry
-        still sees complete :class:`RoutingResult` objects.
+        Bit-identical to ``route(x).expert_counts()``.  Counts depend only
+        on *which* experts win, so instead of partitioning every row this
+        sorts each row once, takes its k-th largest logit as a threshold
+        and counts the entries at or above it.  When the (k+1)-th largest
+        logit is strictly below the threshold, exactly the k winners clear
+        it, whatever their order, so the count is exact.  Two kinds of row
+        can break that and are recounted with the ``argpartition`` call
+        :func:`top_k_indices` makes, which picks winners row by row and so
+        gives the same set as on the whole matrix:
+
+        * a tie at the boundary (the (k+1)-th largest equals the k-th),
+          where more than k entries clear the threshold;
+        * a row holding a NaN, which sorts last and poisons the threshold.
+
+        With ``k == num_experts`` every expert wins and there is no
+        boundary to tie at.  Falls back to the full path when observers
+        are subscribed so telemetry still sees complete
+        :class:`RoutingResult` objects.
         """
         if self._observers:
             return self.route(x).expert_counts()
         logits = self.logits(x)
-        part = np.argpartition(-logits, self.top_k - 1, axis=-1)
-        return np.bincount(
-            part[..., : self.top_k].ravel(), minlength=self.num_experts
-        )
+        k, e = self.top_k, self.num_experts
+        ranked = np.sort(logits, axis=-1)
+        thr = ranked[:, e - k, None]
+        counts = np.count_nonzero(logits >= thr, axis=0)
+        recount = np.isnan(ranked[:, -1])
+        if k < e:
+            recount |= ranked[:, e - k - 1] == ranked[:, e - k]
+        if recount.any():
+            rows = logits[recount]
+            counts -= np.count_nonzero(rows >= thr[recount], axis=0)
+            part = np.argpartition(-rows, k - 1, axis=-1)
+            counts += np.bincount(part[:, :k].ravel(), minlength=e)
+        return counts
 
     def z_loss(self, x: np.ndarray) -> float:
         """Router z-loss: mean squared logsumexp of the logits."""

@@ -120,6 +120,22 @@ class TestPlacement:
         assert molmo["optimized_imbalance"] < 1.05
         assert ds["default_imbalance"] < molmo["default_imbalance"]
 
+    def test_routes_each_model_once(self, monkeypatch):
+        # the activation study never reads the EP size, so its three EP
+        # points share one study per model
+        from repro.workloads import multimodal
+
+        calls = []
+        study = multimodal.run_activation_study
+
+        def counted(model, *args, **kwargs):
+            calls.append(model.name)
+            return study(model, *args, **kwargs)
+
+        monkeypatch.setattr(multimodal, "run_activation_study", counted)
+        run_experiment("ext_placement")
+        assert calls == ["DeepSeek-VL2-Tiny", "MolmoE-1B"]
+
 
 class TestCapacity:
     def test_skew_drops_more(self, results):
