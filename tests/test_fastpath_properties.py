@@ -163,9 +163,8 @@ class TestRouteCountsExactness:
 
     def test_empty_input(self):
         router = TopKRouter(16, 64, 6, rng=np.random.default_rng(0))
-        counts = router.route_counts(np.zeros((0, 16), dtype=np.float32))
+        x = np.zeros((0, 16), dtype=np.float32)
+        counts = router.route_counts(x)
         assert counts.dtype == np.int64
         assert np.array_equal(counts, np.zeros(64, dtype=np.int64))
-        assert np.array_equal(
-            counts,
-            router.route(np.zeros((0, 16), dtype=np.float32)).expert_counts())
+        assert np.array_equal(counts, router.route(x).expert_counts())
