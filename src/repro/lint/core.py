@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import hashlib
 import pathlib
 import re
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 __all__ = [
     "Severity",
@@ -42,6 +43,7 @@ __all__ = [
     "get_rule",
     "run_lint",
     "lint_source",
+    "per_file",
 ]
 
 # ordered weakest → strongest so max() picks the gate-relevant severity
@@ -87,7 +89,13 @@ class Violation:
 
 
 class SourceFile:
-    """One parsed python source file plus its simlint comment directives."""
+    """One parsed python source file plus its simlint comment directives.
+
+    The module tree is walked once (:attr:`nodes`); facts derived from
+    it (import aliases, determinism hits, declared units) are computed
+    once per file through :func:`per_file` and shared by every rule and
+    the flow summarizer.
+    """
 
     def __init__(self, path: pathlib.Path, rel: str, text: str) -> None:
         self.path = path
@@ -95,6 +103,8 @@ class SourceFile:
         self.text = text
         self.lines = text.splitlines()
         self.tree = ast.parse(text, filename=rel)
+        #: extractor -> its result for this file (see :func:`per_file`)
+        self.facts: dict[Callable, object] = {}
         # line (1-based) -> set of rule ids disabled on that line
         self.line_suppressions: dict[int, set[str]] = {}
         self.file_suppressions: set[str] = set()
@@ -118,6 +128,12 @@ class SourceFile:
             m = _UNIT_DECL_RE.search(line)
             if m:
                 self.unit_decls[i] = m.group(1)
+
+    @functools.cached_property
+    def nodes(self) -> list[ast.AST]:
+        """Every node of the module tree in ``ast.walk`` order.  Rules
+        iterate this instead of walking ``tree`` again."""
+        return list(ast.walk(self.tree))
 
     def suppressed(self, rule: str, line: int, end_line: int = 0) -> bool:
         """True when ``rule`` is disabled anywhere in ``line..end_line``
@@ -158,6 +174,7 @@ class LintProject:
         self.root = pathlib.Path(root)
         self.files: list[SourceFile] = []
         self.errors: list[Violation] = []
+        self._by_rel: dict[str, SourceFile] = {}
         for sub in source_dirs:
             base = self.root / sub
             if not base.is_dir():
@@ -165,19 +182,18 @@ class LintProject:
             for path in sorted(base.rglob("*.py")):
                 rel = path.relative_to(self.root).as_posix()
                 try:
-                    text = path.read_text()
-                    self.files.append(SourceFile(path, rel, text))
+                    sf = SourceFile(path, rel, path.read_text())
                 except (SyntaxError, UnicodeDecodeError) as exc:
                     self.errors.append(Violation(
                         rule="LINT000", severity="error", path=rel,
                         line=getattr(exc, "lineno", 1) or 1, col=0,
                         message=f"could not parse: {exc}"))
+                    continue
+                self.files.append(sf)
+                self._by_rel[rel] = sf
 
     def file(self, rel: str) -> SourceFile | None:
-        for sf in self.files:
-            if sf.rel == rel:
-                return sf
-        return None
+        return self._by_rel.get(rel)
 
 
 class SuppressionTracker:
@@ -356,6 +372,26 @@ def lint_source(text: str, rule: Rule, rel: str = "src/repro/fixture.py",
                   key=lambda v: (v.line, v.col, v.rule))
 
 
+T = TypeVar("T")
+
+
+def per_file(
+        extractor: Callable[[SourceFile], T]) -> Callable[[SourceFile], T]:
+    """Make ``extractor(sf)`` a fact of the file: computed on first use,
+    then the same object is returned to every rule that asks.  Results
+    are shared, so callers must not mutate them."""
+
+    @functools.wraps(extractor)
+    def shared(sf: SourceFile) -> T:
+        try:
+            return sf.facts[extractor]
+        except KeyError:
+            value = sf.facts[extractor] = extractor(sf)
+            return value
+
+    return shared
+
+
 def dotted_name(node: ast.AST) -> str | None:
     """``a.b.c`` for a Name/Attribute chain, else None (shared helper)."""
     parts: list[str] = []
@@ -368,14 +404,15 @@ def dotted_name(node: ast.AST) -> str | None:
     return None
 
 
-def import_aliases(tree: ast.Module) -> dict[str, str]:
+@per_file
+def import_aliases(sf: SourceFile) -> dict[str, str]:
     """Map local alias -> canonical dotted module/object name.
 
     ``import numpy as np`` → ``{"np": "numpy"}``; ``from datetime import
     datetime as _dt`` → ``{"_dt": "datetime.datetime"}``.
     """
     aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in sf.nodes:
         if isinstance(node, ast.Import):
             for a in node.names:
                 aliases[a.asname or a.name.split(".")[0]] = (

@@ -20,6 +20,7 @@ from repro.lint.core import (
     Violation,
     dotted_name,
     import_aliases,
+    per_file,
     register_rule,
     resolve_call,
 )
@@ -61,43 +62,51 @@ _STDLIB_RANDOM_FNS = {
 }
 
 
-def iter_wall_hits(tree: ast.AST,
-                   aliases: dict[str, str]) -> Iterator[tuple[ast.Call, str]]:
-    """(call node, resolved name) for every wall-clock read in ``tree``.
+Hits = tuple[tuple[ast.AST, str], ...]
+
+
+@per_file
+def _resolved_calls(sf: SourceFile) -> tuple[tuple[ast.Call, str], ...]:
+    """(call node, import-resolved callee) for every call with a dotted
+    target, shared by the wall and RNG source scans."""
+    aliases = import_aliases(sf)
+    calls = []
+    for node in sf.nodes:
+        if isinstance(node, ast.Call):
+            name = resolve_call(node, aliases)
+            if name is not None:
+                calls.append((node, name))
+    return tuple(calls)
+
+
+@per_file
+def iter_wall_hits(sf: SourceFile) -> Hits:
+    """(call node, resolved name) for every wall-clock read in the file.
 
     Shared between DET001 (local rule) and the interprocedural taint
     summarizer (:mod:`repro.lint.flow.summary`), so both see exactly the
     same sources.
     """
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = resolve_call(node, aliases)
-        if name in _WALL_CALLS:
-            yield node, name
+    return tuple((node, name) for node, name in _resolved_calls(sf)
+                 if name in _WALL_CALLS)
 
 
-def iter_rng_hits(tree: ast.AST,
-                  aliases: dict[str, str]) -> Iterator[tuple[ast.Call, str]]:
+def _is_rng_hit(node: ast.Call, name: str) -> bool:
+    if name in ("numpy.random.default_rng", "random.Random"):
+        return not node.args and not node.keywords
+    if name.startswith("numpy.random."):
+        return name.rsplit(".", 1)[1] in _NP_LEGACY
+    if name.startswith("random."):
+        return name.rsplit(".", 1)[1] in _STDLIB_RANDOM_FNS
+    return False
+
+
+@per_file
+def iter_rng_hits(sf: SourceFile) -> Hits:
     """(call node, resolved name) for every unseeded / process-global RNG
-    use in ``tree`` (shared with the flow summarizer like DET001)."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = resolve_call(node, aliases)
-        if name is None:
-            continue
-        if name in ("numpy.random.default_rng", "random.Random"):
-            if not node.args and not node.keywords:
-                yield node, name
-            continue
-        if name.startswith("numpy.random."):
-            if name.rsplit(".", 1)[1] in _NP_LEGACY:
-                yield node, name
-            continue
-        if name.startswith("random."):
-            if name.rsplit(".", 1)[1] in _STDLIB_RANDOM_FNS:
-                yield node, name
+    use in the file (shared with the flow summarizer like DET001)."""
+    return tuple((node, name) for node, name in _resolved_calls(sf)
+                 if _is_rng_hit(node, name))
 
 
 @register_rule
@@ -113,8 +122,7 @@ class WallClockRule(Rule):
     exclude = WALL_CHANNEL
 
     def check(self, sf: SourceFile) -> Iterator[Violation]:
-        aliases = import_aliases(sf.tree)
-        for node, name in iter_wall_hits(sf.tree, aliases):
+        for node, name in iter_wall_hits(sf):
             yield sf.violation(
                 self, node,
                 f"{name}() reads the host clock; simulated code must "
@@ -135,8 +143,7 @@ class UnseededRngRule(Rule):
     include = ("src/repro",)
 
     def check(self, sf: SourceFile) -> Iterator[Violation]:
-        aliases = import_aliases(sf.tree)
-        for node, name in iter_rng_hits(sf.tree, aliases):
+        for node, name in iter_rng_hits(sf):
             if name in ("numpy.random.default_rng", "random.Random"):
                 yield sf.violation(
                     self, node,
@@ -160,11 +167,12 @@ class UnseededRngRule(Rule):
 _MATERIALIZERS = {"list", "tuple", "enumerate", "iter"}
 
 
-def _set_typed_names(tree: ast.AST) -> set[str]:
+@per_file
+def _set_typed_names(sf: SourceFile) -> frozenset[str]:
     """Names assigned a set display / set() call anywhere in the file
     (coarse but effective: one namespace, no reassignment tracking)."""
     names: set[str] = set()
-    for node in ast.walk(tree):
+    for node in sf.nodes:
         if isinstance(node, ast.Assign) and _is_set_expr(node.value):
             for tgt in node.targets:
                 if isinstance(tgt, ast.Name):
@@ -175,7 +183,7 @@ def _set_typed_names(tree: ast.AST) -> set[str]:
             base = ann.value if isinstance(ann, ast.Subscript) else ann
             if isinstance(base, ast.Name) and base.id in ("set", "frozenset"):
                 names.add(node.target.id)
-    return names
+    return frozenset(names)
 
 
 def _is_set_expr(node: ast.AST) -> bool:
@@ -187,10 +195,11 @@ def _is_set_expr(node: ast.AST) -> bool:
     return False
 
 
-def iter_set_order_hits(tree: ast.AST) -> Iterator[tuple[ast.AST, str]]:
-    """(node, description) for every hash-order set iteration in ``tree``
+@per_file
+def iter_set_order_hits(sf: SourceFile) -> Hits:
+    """(node, description) for every hash-order set iteration in the file
     (shared between DET003 and the flow summarizer)."""
-    set_names = _set_typed_names(tree)
+    set_names = _set_typed_names(sf)
 
     def flag(iter_node: ast.AST) -> Iterator[tuple[ast.AST, str]]:
         if _is_set_expr(iter_node):
@@ -199,17 +208,19 @@ def iter_set_order_hits(tree: ast.AST) -> Iterator[tuple[ast.AST, str]]:
               and iter_node.id in set_names):
             yield iter_node, f"iteration over set-typed {iter_node.id!r}"
 
-    for node in ast.walk(tree):
+    hits: list[tuple[ast.AST, str]] = []
+    for node in sf.nodes:
         if isinstance(node, ast.For):
-            yield from flag(node.iter)
+            hits.extend(flag(node.iter))
         elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
                                ast.GeneratorExp)):
             for gen in node.generators:
-                yield from flag(gen.iter)
+                hits.extend(flag(gen.iter))
         elif isinstance(node, ast.Call):
             fname = dotted_name(node.func)
             if fname in _MATERIALIZERS and node.args:
-                yield from flag(node.args[0])
+                hits.extend(flag(node.args[0]))
+    return tuple(hits)
 
 
 @register_rule
@@ -224,7 +235,7 @@ class SetIterationRule(Rule):
     include = ("src/repro",)
 
     def check(self, sf: SourceFile) -> Iterator[Violation]:
-        for node, detail in iter_set_order_hits(sf.tree):
+        for node, detail in iter_set_order_hits(sf):
             if detail == "set iteration":
                 yield sf.violation(
                     self, node,

@@ -1,13 +1,12 @@
 """Incremental flow cache: per-file summaries keyed on SHA-256.
 
 The whole-program passes are rebuilt every run (they are cheap: dict
-walks over summaries), but per-file extraction — eight AST walks per
-file — is the dominant cost, so summaries persist to
-``<root>/.lint_cache/flow.json`` keyed on each file's content hash.  A
-warm run re-extracts only files whose bytes changed; everything else is
-loaded as plain JSON.  Invalidation is exact: the key is the file's own
-SHA-256, and a ``SUMMARY_VERSION`` bump (schema change in the extractor)
-discards the whole cache.
+walks over summaries), but per-file extraction is not, so summaries
+persist to ``<root>/.lint_cache/flow.json`` keyed on each file's content
+hash.  A warm run re-extracts only files whose bytes changed; everything
+else is loaded as plain JSON.  Invalidation is exact: the key is the
+file's own SHA-256, and a ``SUMMARY_VERSION`` bump (schema change in the
+extractor) discards the whole cache.
 
 Writes are atomic (tmp + rename) so concurrent lint runs can race on the
 cache without corrupting it — the loser's write simply wins whole-file.

@@ -5,7 +5,9 @@ interprocedural passes need — functions with their call sites,
 determinism sources, unit facts and receiver-type hints — in plain
 JSON-serializable form, so summaries round-trip through the SHA-keyed
 incremental cache (:mod:`repro.lint.flow.cache`) and a warm run never
-re-walks an unchanged file's AST.
+re-extracts an unchanged file.  Extraction reads the file's shared node
+list and per-file facts (:func:`~repro.lint.core.per_file`), so the
+sources it records are the very hits DET001-003 report.
 
 Attribution is span-based: every call / source / return found in the
 tree belongs to the innermost enclosing function (by line span), and
@@ -24,7 +26,7 @@ from repro.lint.determinism import (
     iter_set_order_hits,
     iter_wall_hits,
 )
-from repro.lint.units import UnitEnv, infer_unit, name_unit
+from repro.lint.units import UnitEnv, infer_unit, name_unit, unit_env
 
 __all__ = ["CallSite", "SourceHit", "UnitMix", "ReturnCall",
            "FunctionSummary", "FileSummary", "module_name_for",
@@ -219,13 +221,12 @@ def _param_names(fn: ast.FunctionDef, is_method: bool) -> list[str]:
 
 def summarize_source(sf: SourceFile, sha: str) -> FileSummary:
     """Extract the flow facts of one parsed source file."""
-    aliases = import_aliases(sf.tree)
-    env = UnitEnv(sf)
+    env = unit_env(sf)
     defs = list(_iter_defs(sf.tree))
     span = _SpanIndex([(q, fn) for q, _, fn in defs])
 
     out = FileSummary(rel=sf.rel, module=module_name_for(sf.rel), sha=sha,
-                      aliases=aliases)
+                      aliases=dict(import_aliases(sf)))
     by_qual: dict[str, FunctionSummary] = {}
 
     module_fn = FunctionSummary(qualname=MODULE_FN)
@@ -257,13 +258,13 @@ def summarize_source(sf: SourceFile, sha: str) -> FileSummary:
         return by_qual.get(span.owner(node.lineno), module_fn)
 
     # classes: bases + instance-attr types (self.x = ClassName(...))
-    for node in ast.walk(sf.tree):
+    for node in sf.nodes:
         if not isinstance(node, ast.ClassDef):
             continue
         bases = [b for b in (dotted_name(base) for base in node.bases)
                  if b is not None]
         out.classes[node.name] = {"bases": bases, "attr_types": {}}
-    for node in ast.walk(sf.tree):
+    for node in sf.nodes:
         if not isinstance(node, ast.Assign) or not isinstance(
                 node.value, ast.Call):
             continue
@@ -284,7 +285,7 @@ def summarize_source(sf: SourceFile, sha: str) -> FileSummary:
                 owner.var_types.setdefault(tgt.id, callee)
 
     # call sites with argument units
-    for node in ast.walk(sf.tree):
+    for node in sf.nodes:
         if not isinstance(node, ast.Call):
             continue
         raw = dotted_name(node.func)
@@ -307,19 +308,16 @@ def summarize_source(sf: SourceFile, sha: str) -> FileSummary:
         owner_of(node).calls.append(site)
 
     # determinism sources
-    for hit_iter, kind in ((iter_wall_hits(sf.tree, aliases), "wall"),
-                           (iter_rng_hits(sf.tree, aliases), "rng")):
-        for node, detail in hit_iter:
+    for hits, kind in ((iter_wall_hits(sf), "wall"),
+                       (iter_rng_hits(sf), "rng"),
+                       (iter_set_order_hits(sf), "set-order")):
+        for node, detail in hits:
             owner_of(node).sources.append(SourceHit(
                 kind=kind, detail=detail, line=node.lineno,
                 end_line=node.end_lineno or node.lineno))
-    for node, detail in iter_set_order_hits(sf.tree):
-        owner_of(node).sources.append(SourceHit(
-            kind="set-order", detail=detail, line=node.lineno,
-            end_line=node.end_lineno or node.lineno))
 
     # returns: local units, plus bare calls whose unit must flow in
-    for node in ast.walk(sf.tree):
+    for node in sf.nodes:
         if not isinstance(node, ast.Return) or node.value is None:
             continue
         owner = owner_of(node)
@@ -347,7 +345,7 @@ def summarize_source(sf: SourceFile, sha: str) -> FileSummary:
                 callee=raw, other_unit=unit, line=anchor.lineno,
                 end_line=anchor.end_lineno or anchor.lineno))
 
-    for node in ast.walk(sf.tree):
+    for node in sf.nodes:
         if isinstance(node, ast.BinOp) and isinstance(
                 node.op, (ast.Add, ast.Sub)):
             record_mix(node.left, node.right, node)

@@ -82,7 +82,7 @@ class MetricUnitSuffixRule(Rule):
     include = ("src/repro",)
 
     def check(self, sf: SourceFile) -> Iterator[Violation]:
-        for node in ast.walk(sf.tree):
+        for node in sf.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = dotted_name(node.func)
@@ -145,8 +145,8 @@ class SimClockSpanRule(Rule):
                "src/repro/obs/cluster.py")
 
     def check(self, sf: SourceFile) -> Iterator[Violation]:
-        aliases = import_aliases(sf.tree)
-        for node in ast.walk(sf.tree):
+        aliases = import_aliases(sf)
+        for node in sf.nodes:
             if isinstance(node, ast.Attribute) and node.attr == "wall_span":
                 yield sf.violation(
                     self, node,

@@ -44,7 +44,7 @@ def registered_experiment_ids(project: LintProject) -> dict[str, tuple[str, int]
     for sf in project.files:
         if not sf.rel.startswith(_EXPERIMENTS_DIR):
             continue
-        for node in ast.walk(sf.tree):
+        for node in sf.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for dec in node.decorator_list:
@@ -197,7 +197,7 @@ class CliDocRule(ProjectRule):
         if sf is None:
             return
         docstring = ast.get_docstring(sf.tree) or ""
-        for node in ast.walk(sf.tree):
+        for node in sf.nodes:
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "add_parser"

