@@ -478,3 +478,96 @@ class TestResultAggregates:
         assert len(times) == 6
         assert times == sorted(times)
         assert times[0] == res.request(0).first_token_time
+
+
+def _kv_state(engine: ServingEngine) -> tuple:
+    """Allocator state a window touches: free-list order, reusable LRU
+    order (prefix caching) and every block table."""
+    kv = engine.kv
+    return (list(kv._free), list(getattr(kv, "_reusable", {}).items()),
+            {seq: (list(t.blocks), t.num_tokens)
+             for seq, t in kv._tables.items()})
+
+
+class TestHorizonSplitWindows:
+    """``Replica.advance_to`` cuts one decode run into many windows at
+    fleet horizons; the pieces must replay the unbroken window exactly."""
+
+    @staticmethod
+    def _decoding(prompts, max_tokens, pool, prefix) -> ServingEngine:
+        with _engine_mode(True):
+            engine = ServingEngine(_perf("OLMoE-1B-7B"),
+                                   kv_pool_tokens=pool,
+                                   enable_prefix_caching=prefix)
+        for rid, prompt in enumerate(prompts):
+            engine.submit(Request(
+                request_id=rid, prompt_tokens=prompt,
+                sampling=SamplingParams(max_tokens=max_tokens),
+                arrival_time=0.0,
+                prompt_block_hashes=tuple(range(prompt // 16))
+                if prefix else ()))
+        while engine.scheduler.waiting or engine._pending \
+                or not engine.scheduler.running:
+            assert engine.step()
+        return engine
+
+    @_settings
+    @given(st.lists(st.integers(1, 200), min_size=1, max_size=6),
+           st.integers(40, 300), st.sampled_from([2_048, 4_096, 65_536]),
+           st.booleans(),
+           st.lists(st.floats(1e-9, 0.03), min_size=1, max_size=40))
+    def test_split_window_equals_unbroken(self, prompts, max_tokens, pool,
+                                          prefix, steps):
+        stepcache.clear()
+        whole = self._decoding(prompts, max_tokens, pool, prefix)
+        split = self._decoding(prompts, max_tokens, pool, prefix)
+        assert _kv_state(whole) == _kv_state(split)
+        start = len(whole.log.events)
+        advanced = whole.advance_window()
+        done = 0
+        while done < advanced:
+            step = steps[done % len(steps)]
+            got = split.advance_window(split.clock + step)
+            assert got >= 1
+            done += got
+        assert done == advanced
+        assert split.advance_window() == 0 or advanced == 0
+        assert split.log.events[start:] == whole.log.events[start:]
+        assert split.clock == whole.clock
+        assert _kv_state(split) == _kv_state(whole)
+        assert run_digest(split.run()) == run_digest(whole.run())
+
+
+class TestDecodeMemo:
+    """Every decode duration the fast path memoizes is the one-point
+    price of its shape: a window's array pass and the completing step's
+    probe agree bit for bit."""
+
+    @pytest.mark.parametrize("model", _MODELS)
+    def test_memo_entries_equal_step_total_one(self, model):
+        stepcache.clear()
+        with _engine_mode(True):
+            engine = ServingEngine(_perf(model), kv_pool_tokens=32_768)
+        for rid in range(5):
+            engine.submit(Request(
+                request_id=rid, prompt_tokens=40 + 70 * rid,
+                sampling=SamplingParams(max_tokens=30 + 25 * rid),
+                arrival_time=0.004 * rid))
+        engine.run()
+        steps = engine.perf.steps
+        plans = engine.fastpath._plan_by_batch
+        assert plans
+        for batch, plan in plans.items():
+            assert plan
+            for context, seconds in plan.items():
+                assert seconds == steps.step_total_one(batch, batch, context)
+
+    @pytest.mark.parametrize("model", _MODELS)
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    def test_array_pass_equals_one_point_probe(self, model, batch):
+        steps = _perf(model).steps
+        contexts = list(range(1, 64)) + list(range(4_032, 4_096))
+        totals = steps.decode_totals([batch] * len(contexts), contexts)
+        for context, seconds in zip(contexts, totals):
+            assert type(seconds) is float
+            assert seconds == steps.step_total_one(batch, batch, context)

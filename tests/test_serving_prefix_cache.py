@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hardware.gpus import H100_SXM
 from repro.models.zoo import OLMOE_1B_7B
@@ -136,3 +138,169 @@ class TestEngineIntegration:
         res = eng.run()
         assert all(r.is_finished for r in res.requests)
         assert all(r.generated_tokens == 16 for r in res.requests)
+
+
+class _ReferencePrefixCache:
+    """The prefix cache's allocation rules, one block at a time, on plain
+    lists: ``free`` pops from its end, ``reusable`` holds ``(hash,
+    block)`` pairs in LRU order (the front evicts first) and ``resident``
+    maps a hash to ``[block, refcount]``."""
+
+    def __init__(self, num_blocks: int, block_size: int) -> None:
+        self.block_size = block_size
+        self.free = list(range(num_blocks - 1, -1, -1))
+        self.reusable: list[tuple[int, int]] = []
+        self.resident: dict[int, list[int]] = {}
+        self.tables: dict[int, list[int]] = {}
+        self.tokens: dict[int, int] = {}
+        self.shared: dict[int, list[int]] = {}
+        self.lookups = self.hits = self.evictions = 0
+
+    def _unpark(self, h: int) -> int | None:
+        for i, (parked, block) in enumerate(self.reusable):
+            if parked == h:
+                del self.reusable[i]
+                return block
+        return None
+
+    def _take(self) -> int:
+        if self.free:
+            return self.free.pop()
+        self.evictions += 1
+        return self.reusable.pop(0)[1]
+
+    def allocate(self, seq: int, num_tokens: int, hashes: tuple) -> int:
+        blocks: list[int] = []
+        shared: list[int] = []
+        hits = 0
+        self.lookups += len(hashes)
+        for h in hashes:
+            entry = self.resident.get(h)
+            if entry is None:
+                block = self._unpark(h)
+                if block is not None:
+                    entry = self.resident[h] = [block, 0]
+            if entry is not None and hits == len(blocks):
+                hits += 1
+                entry[1] += 1
+                blocks.append(entry[0])
+                shared.append(entry[0])
+                continue
+            block = self._take()
+            blocks.append(block)
+            if h not in self.resident:
+                self.resident[h] = [block, 1]
+                shared.append(block)
+        while len(blocks) * self.block_size < num_tokens:
+            blocks.append(self._take())
+        self.tables[seq] = blocks
+        self.tokens[seq] = num_tokens
+        self.shared[seq] = shared
+        self.hits += hits
+        return hits * self.block_size
+
+    def cached(self, hashes: tuple) -> int:
+        parked = {h for h, _ in self.reusable}
+        cached = 0
+        for h in hashes:
+            if h not in self.resident and h not in parked:
+                break
+            cached += self.block_size
+        return cached
+
+    def grow(self, seq: int, n: int) -> None:
+        self.tokens[seq] += n
+        while len(self.tables[seq]) * self.block_size < self.tokens[seq]:
+            self.tables[seq].append(self._take())
+
+    def release(self, seq: int) -> None:
+        shared = self.shared.pop(seq)
+        del self.tokens[seq]
+        for block in reversed(self.tables.pop(seq)):
+            if block not in shared:
+                self.free.append(block)
+                continue
+            h = next(h for h, e in self.resident.items() if e[0] == block)
+            self.resident[h][1] -= 1
+            if self.resident[h][1] == 0:
+                del self.resident[h]
+                self.reusable.append((h, block))
+
+
+def _prompt_hashes(draw, max_blocks: int) -> tuple[int, ...]:
+    """Hash chains over a few templates that diverge at a drawn block, plus
+    an occasional stray hash out of chain order (the miss-then-hit path)."""
+    template = draw(st.integers(0, 1))
+    length = draw(st.integers(0, max_blocks))
+    branch = draw(st.integers(0, length))
+    variant = draw(st.integers(0, 2))
+    hashes = [1000 * template + i if i < branch
+              else 1000 * template + 100 * (variant + 1) + i
+              for i in range(length)]
+    if hashes and draw(st.booleans()):
+        stray = 1000 * draw(st.integers(0, 2)) + draw(st.integers(0, 3))
+        if stray not in hashes:
+            hashes[draw(st.integers(0, len(hashes) - 1))] = stray
+    return tuple(hashes)
+
+
+@st.composite
+def _cache_ops(draw):
+    ops = []
+    for seq in range(draw(st.integers(1, 60))):
+        kind = draw(st.sampled_from(("alloc", "alloc", "grow", "free", "free")))
+        if kind == "alloc":
+            hashes = _prompt_hashes(draw, 6)
+            extra = draw(st.integers(1 if not hashes else 0, 2 * BS))
+            ops.append(("alloc", seq, len(hashes) * BS + extra, hashes))
+        else:
+            # a recent sequence, so most grows and frees find it live
+            ops.append((kind, draw(st.integers(max(0, seq - 6), seq)),
+                        draw(st.integers(1, 2 * BS)), ()))
+    return ops
+
+
+class TestAgainstReference:
+    """Random allocate/grow/free sequences (evicting once the pool runs
+    dry) leave the cache in the reference model's exact state: free-list
+    order, reusable LRU order, every block table and the stats."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_cache_ops(), st.integers(8, 24))
+    def test_matches_reference_model(self, ops, num_blocks):
+        cache = PrefixCachingKVCache(num_blocks=num_blocks, block_size=BS)
+        ref = _ReferencePrefixCache(num_blocks, BS)
+        for kind, seq, tokens, hashes in ops:
+            live = seq in ref.tables
+            pool = len(ref.free) + len(ref.reusable)
+            if kind == "alloc" and not live:
+                # room for every block, with slack for unparked hits
+                if -(-tokens // BS) + len(hashes) > pool:
+                    continue
+                assert cache.cached_prefix_tokens(hashes) == ref.cached(hashes)
+                got = cache.allocate_with_prefix(seq, tokens, hashes)
+                assert got == ref.allocate(seq, tokens, hashes)
+            elif kind == "grow" and live:
+                if not cache.can_append_slots(seq, tokens):
+                    continue
+                cache.append_slots(seq, tokens)
+                ref.grow(seq, tokens)
+            elif kind == "free" and live:
+                cache.free(seq)
+                ref.release(seq)
+            else:
+                continue
+            assert cache._free == ref.free
+            assert list(cache._reusable.items()) == ref.reusable
+            assert {s: list(cache.block_table(s)) for s in ref.tables} \
+                == ref.tables
+            assert all(cache.num_tokens(s) == n for s, n in ref.tokens.items())
+            assert (cache.stats.lookups, cache.stats.hits,
+                    cache.stats.evictions) \
+                == (ref.lookups, ref.hits, ref.evictions)
+            assert cache.free_blocks == len(ref.free) + len(ref.reusable)
+        for seq in list(ref.tables):
+            cache.free(seq)
+            ref.release(seq)
+        assert cache._free == ref.free
+        assert list(cache._reusable.items()) == ref.reusable
