@@ -63,8 +63,7 @@ def check_kv_integrity(kv: PagedKVCache) -> None:
         _violate("duplicate block id in the reusable pool")
     owned = Counter(b for t in kv._tables.values() for b in t.blocks)
 
-    by_hash = getattr(kv, "_by_hash", {})
-    refcounts = {entry.block_id: entry.refcount for entry in by_hash.values()}
+    refcounts = kv.refcounts() if hasattr(kv, "refcounts") else {}
     for block, n in owned.items():
         expected = refcounts.get(block, 1)
         if expected == 0:

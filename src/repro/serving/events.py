@@ -28,6 +28,11 @@ class EventType(enum.Enum):
     FAIL = "fail"
     """Requests were terminally failed with a recorded reason."""
 
+    # members are singletons compared by identity, so the identity hash is
+    # consistent with equality; it keeps EventLog's per-type index probes
+    # in C instead of Enum.__hash__ (a Python-level hash of the name)
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Event:
@@ -91,8 +96,16 @@ class EventLog:
                 f"{self.events[-1].time}"
             )
         self.events.extend(batch)
+        by_type = self._by_type
+        busy = self._total_busy
+        peak = self._peak_kv
         for event in batch:
-            self._index(event)
+            by_type[event.type].append(event)
+            busy += event.duration_s
+            if event.kv_utilization > peak:
+                peak = event.kv_utilization
+        self._total_busy = busy
+        self._peak_kv = peak
 
     def of_type(self, event_type: EventType) -> list[Event]:
         return list(self._by_type[event_type])

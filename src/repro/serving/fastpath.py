@@ -7,20 +7,26 @@ boundaries — an arrival being admitted, a sequence finishing, the KV pool
 running dry — nothing about the *decision structure* of those iterations
 changes: the batch is the same ``running`` list every time, no request
 finishes, no preemption fires.  :class:`EngineFastPath` detects such a
-run and advances the whole window at once: the per-iteration step costs
-are priced in one :meth:`~repro.perfmodel.phases.StepModel.decode_totals`
-array pass, KV block-crossing iterations are precomputed arithmetically,
-and request/block-table counters are committed with one addition per
+run and advances it at once, planning one iteration at a time only as
+far as it will actually go (the fleet horizon, the next arrival, the
+earliest completion or a dry KV pool): each iteration's duration is a
+decode-memo lookup, the KV block-crossing iterations follow from one
+first-crossing residue (mod ``block_size``) per sequence, and
+request/block-table counters are committed with one addition per
 sequence instead of one per token.
 
-The iterations a window cannot take — admission prefills and the
-completing decode step at each request's end — still run through the
-scalar ``step()``, but their durations are priced through
-:meth:`EngineFastPath.step_total`: a decode memo keyed on
-``(batch, context)`` (pre-filled by the window plans, which price one
-step past their own end exactly so the completing iteration hits), with
-one-point :meth:`~repro.perfmodel.phases.StepModel.step_total_one` as the
-miss path, which skips building a breakdown.
+The decode memo is keyed on ``(batch, context)`` and filled a block at a
+time: a miss prices the whole aligned run of :data:`DECODE_BLOCK`
+contexts around the missing one in one
+:meth:`~repro.perfmodel.phases.StepModel.decode_totals` array pass, so a
+run of windows (and the completing step after each) pays one array pass
+per 64 contexts instead of one per window.  The iterations a window
+cannot take — admission prefills and the completing decode step at each
+request's end — still run through the scalar ``step()``, but their
+durations are priced through :meth:`EngineFastPath.step_total`: decode
+shapes through the same block-priced memo, prefill shapes through
+one-point :meth:`~repro.perfmodel.phases.StepModel.step_total_one`, which
+skips building a breakdown.
 
 **Bit-identity contract.**  The fingerprint gate digests ``repr()`` of
 every float and the chaos/fleet digests hash the event stream via
@@ -34,7 +40,7 @@ for operand:
   ints is a pairwise float64 sum, exact below 2**53, divided by the
   batch — the same correctly-rounded division);
 * durations come from the step model's one float/array core, so a
-  window's array pass and a one-point probe give the same bits as
+  block's array pass and a one-point probe give the same bits as
   ``decode_step_time`` / ``step_breakdown().total``;
 * KV blocks are popped through ``PagedKVCache.append_block`` in the
   scalar order — iteration-major, then running order — so prefix-cache
@@ -73,16 +79,16 @@ because no request arrives, completes or is preempted inside a window.
 Only the two step-cache gauges differ, since window iterations make no
 step-cache lookups.
 
-A window bounded by a fleet horizon resumes on the next
-``Replica.advance_to`` with every remaining duration already in the
-decode memo — this is what amortizes replica stepping across fleet
-events.
+A window bounded by a fleet horizon plans nothing past it: fleet events
+come every couple of iterations, so a call pays for the iterations it
+advances, and the next ``Replica.advance_to`` resumes against the
+block-priced memo.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from bisect import bisect_left
 from typing import TYPE_CHECKING
 
 from repro.perfmodel import stepcache
@@ -92,11 +98,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.instrument import Instrumentation
     from repro.serving.engine import ServingEngine
 
-__all__ = ["EngineFastPath", "engine_vectorize_enabled"]
+__all__ = ["DECODE_BLOCK", "EngineFastPath", "engine_vectorize_enabled"]
 
 _MAX_WINDOW = 4096
-"""Iterations priced per array pass (bounds plan memory; windows longer
-than this simply split, resuming against the warmed decode memo)."""
+"""Iterations advanced per window (bounds its event batch; longer decode
+runs simply split)."""
+
+DECODE_BLOCK = 64
+"""Decode contexts priced per memo miss: the aligned block
+``[64 * q, 64 * q + 64)`` (context 0 excluded) for the missing context's
+batch.  An array pass has a fixed cost near 140 us and pricing 64 points
+adds about a third to it, while windows and completing steps walk
+contexts upwards one at a time."""
 
 
 def engine_vectorize_enabled() -> bool:
@@ -125,8 +138,8 @@ class EngineFastPath:
         per-engine when the step cache is disabled."""
         self._decode_plans = self._cache.decode_plans if shared else {}
         """``(setup_id, batch) -> {context: seconds}`` decode memo (see
-        ``StepCache.decode_plans``), filled array-at-a-time by the window
-        plans and one point at a time by :meth:`step_total` misses."""
+        ``StepCache.decode_plans``), filled one :data:`DECODE_BLOCK` of
+        contexts at a time by :meth:`_price_block`."""
         self._plan_by_batch: dict[int, dict[int, float]] = {}
         """This engine's view of :attr:`_decode_plans` keyed by batch
         alone (the setup id is fixed per engine), so hot probes skip the
@@ -155,19 +168,29 @@ class EngineFastPath:
             self._plan_by_batch[batch] = plan
         return plan
 
+    def _price_block(self, plan: dict[int, float], batch: int,
+                     context: int) -> float:
+        """Price the aligned :data:`DECODE_BLOCK` of contexts holding
+        ``context`` for ``batch`` in one array pass into ``plan``; return
+        ``context``'s seconds."""
+        low = context - context % DECODE_BLOCK
+        contexts = range(low or 1, low + DECODE_BLOCK)
+        plan.update(zip(contexts, self.steps.decode_totals(
+            [batch] * len(contexts), contexts)))
+        return plan[context]
+
     def step_total(self, num_tokens: int, batch: int, kv_len: float,
                    phase: str, attended_len: float | None = None) -> float:
         """One iteration's total seconds — the values
         ``step_breakdown(...).total`` / ``decode_step_time`` produce,
-        without building a breakdown.  Every shape memoizes in the shared
-        totals tables (windows pre-fill decode entries, including one step
-        past their own end for the completing iteration)."""
+        without building a breakdown.  Decode shapes go through the
+        block-priced decode memo (``kv_len`` is then the integer mean
+        context), every other shape through the shared totals memo."""
         if phase == "decode":
             plan = self._plan(batch)
             total = plan.get(kv_len)
             if total is None:
-                total = self.steps.step_total_one(batch, batch, kv_len)
-                plan[kv_len] = total
+                total = self._price_block(plan, batch, kv_len)
             return total
         key = (self._sid, num_tokens, batch, kv_len, attended_len)
         total = self._totals.get(key)
@@ -176,28 +199,6 @@ class EngineFastPath:
                 num_tokens, batch, kv_len, attended_len)
             self._put(key, total)
         return total
-
-    def _window_durations(self, batch: int, kv_sum: int,
-                          limit: int) -> list[float]:
-        """Per-iteration decode durations for a window of ``limit`` steps
-        starting from total context ``kv_sum`` over ``batch`` sequences.
-
-        Iteration ``j`` (0-based) prices at context
-        ``max(1, int((kv_sum + j * batch) / batch))`` — the exact value
-        ``_iteration_cost`` computes from the pre-iteration ``kv_tokens``.
-        One extra point past the window end is priced into the memo: that
-        is the completing iteration the scalar ``step()`` takes next, so
-        its :meth:`step_total` lookup hits.  Windows resumed after a
-        fleet-horizon break find every remaining context memoized."""
-        plan = self._plan(batch)
-        contexts = [max(1, int((kv_sum + j * batch) / batch))
-                    for j in range(limit + 1)]
-        missing = sorted({c for c in contexts if c not in plan})
-        if missing:
-            totals = self.steps.decode_totals([batch] * len(missing), missing)
-            for c, t in zip(missing, totals):
-                plan[c] = t
-        return [plan[contexts[j]] for j in range(limit)]
 
     def decode_window(self, horizon: float) -> int:
         """Advance as many pure decode iterations as possible, bounded by
@@ -239,71 +240,74 @@ class EngineFastPath:
         if limit < 1:
             return 0
 
-        # KV block-crossing schedule: sequence i first needs a block at
-        # the iteration its free slots run out, then every block_size
-        # steps.  Tuple sort yields the scalar pop order (iteration-major,
-        # then running order within one step).
+        # KV block crossings: a sequence with `spare` free slots first needs
+        # a block at (1-based) iteration spare + 1, then every block_size
+        # iterations, so iteration n pops for the sequences filed under
+        # n % block_size, in running order (the scalar pop order)
         kv = engine.kv
         batch = len(running)
         block_size = kv.block_size
         kv_tables = kv._tables
         tables = [kv_tables[r.request_id] for r in running]
-        crossings: list[tuple[int, int]] = []
-        add_crossing = crossings.append
-        for i, table in enumerate(tables):
-            j = len(table.blocks) * block_size - table.num_tokens + 1
-            while j <= limit:
-                add_crossing((j, i))
-                j += block_size
-        crossings.sort()
-        total_pops = len(crossings)
+        crossers: dict[int, list] = {}
+        for table in tables:
+            spare = len(table.blocks) * block_size - table.num_tokens
+            if spare >= block_size:
+                return 0  # a whole spare block: leave it to the scalar path
+            crossers.setdefault((spare + 1) % block_size, []).append(table)
+        crossing = crossers.get
 
-        # plan: one DECODE event per iteration, state untouched
-        durations = self._window_durations(batch, kv_sum, limit)
+        # plan one DECODE event per iteration up to the first stop, state
+        # untouched; durations come from the block-priced decode memo
+        plan = self._plan(batch)
         request_ids = tuple(r.request_id for r in running)
         num_blocks = kv.num_blocks
         free = kv.free_blocks
         available = kv.available_blocks
+        if next_arrival is None:
+            next_arrival = math.inf
         events: list[Event] = []
         record = events.append
         decode = EventType.DECODE
-        pop_at = 0
+        tokens = kv_sum
         done = 0
-        while done < limit:
-            if clock >= horizon:
-                break
-            if next_arrival is not None and next_arrival <= clock + 1e-12:
-                break
-            pops = 0
-            while (pop_at + pops < total_pops
-                   and crossings[pop_at + pops][0] == done + 1):
-                pops += 1
+        while (done < limit and clock < horizon
+               and not next_arrival <= clock + 1e-12):
+            pops = crossing((done + 1) % block_size)
             if pops:
-                if pops > available:
+                if len(pops) > available:
                     break  # pool dry: the preemption decision stays scalar
-                pop_at += pops
-                free -= pops
-                available -= pops
-            duration_s = durations[done]
+                free -= len(pops)
+                available -= len(pops)
+            # _iteration_cost's exact context: max(1, int(mean kv_tokens))
+            context = int(tokens / batch) or 1
+            duration_s = plan.get(context)
+            if duration_s is None:
+                duration_s = self._price_block(plan, batch, context)
             clock = clock + duration_s
             record(Event(
                 clock, decode, request_ids,
                 num_tokens=batch, duration_s=duration_s,
                 kv_utilization=(num_blocks - free) / num_blocks,
             ))
+            tokens += batch
             done += 1
 
         if done and obs is not None and obs.alerts is not None:
             done = obs.alerts.quiet_iterations(engine, events)
-            if done < len(events):
-                del events[done:]
-                pop_at = bisect_left(crossings, (done + 1,))
+            del events[done:]
         if not done:
             return 0
 
         # commit: pops in scalar order, then counters, clock and log
-        for k in range(pop_at):
-            kv.append_block(tables[crossings[k][1]])
+        append_block = kv.append_block
+        popped = 0
+        for n in range(1, done + 1):
+            pops = crossing(n % block_size)
+            if pops:
+                popped += len(pops)
+                for table in pops:
+                    append_block(table)
         for req in running:
             req.generated_tokens += done
             req.kv_tokens += done
@@ -313,26 +317,24 @@ class EngineFastPath:
         engine.log.extend(events)
         if obs is not None:
             obs.now = engine.clock
-            self._record_metrics(obs, events, crossings, batch)
+            self._record_metrics(obs, events, len(crossing(1 % block_size)
+                                                  or ()), popped, batch)
         return done
 
     @staticmethod
     def _record_metrics(obs: "Instrumentation", events: list[Event],
-                        crossings: list[tuple[int, int]], batch: int) -> None:
-        """The window's metrics as two batch commits: its first iteration,
-        then the rest.  A window's first iteration may create the decode
-        metrics and a later one ``kv_blocks_total{op="append"}``, so the
-        split keeps the registry's insertion order equal to the scalar
-        loop's."""
-        for start, stop in ((0, 1), (1, len(events))):
-            if stop == start:
+                        first_pops: int, pops: int, batch: int) -> None:
+        """The window's metrics as two batch commits: its first iteration
+        (``first_pops`` of the window's ``pops`` block pops), then the
+        rest.  A window's first iteration may create the decode metrics
+        and a later one ``kv_blocks_total{op="append"}``, so the split
+        keeps the registry's insertion order equal to the scalar loop's."""
+        for span, blocks in ((events[:1], first_pops),
+                             (events[1:], pops - first_pops)):
+            if not span:
                 break
-            span = events[start:stop]
-            # crossings carry 1-based iteration numbers
-            pops = (bisect_left(crossings, (stop + 1,))
-                    - bisect_left(crossings, (start + 1,)))
             obs.record_iterations(
-                kv_op="append", kv_ops=batch * len(span), kv_blocks=pops,
+                kv_op="append", kv_ops=batch * len(span), kv_blocks=blocks,
                 kv_utilization=span[-1].kv_utilization,
                 phase="decode", num_tokens=batch,
                 durations=[e.duration_s for e in span])

@@ -16,7 +16,7 @@ templated prompts) comes from.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.serving.kv_cache import DEFAULT_BLOCK_SIZE, BlockTable, PagedKVCache
 
@@ -36,27 +36,30 @@ class PrefixStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
-@dataclass
-class _SharedBlock:
-    block_id: int
-    refcount: int
-
-
 class PrefixCachingKVCache(PagedKVCache):
     """Paged KV cache with content-hash block sharing.
 
     Sequences allocated through :meth:`allocate_with_prefix` share full
     prompt blocks by hash; everything else behaves like the base
     allocator (decode growth, free, watermarks).
+
+    Bookkeeping is flat int maps keyed by content hash: ``_block_of``
+    and ``_refs`` hold the resident (referenced) content's block and
+    reference count, ``_reusable`` the unreferenced content still valid,
+    in LRU order.  A sequence remembers the hashes it holds references
+    on, in table order.  Those blocks are the table's prefix unless the
+    allocation hit resident content after its first miss; such sequences
+    are listed in ``_scattered`` and freed block by block.
     """
 
     def __init__(self, num_blocks: int, block_size: int = DEFAULT_BLOCK_SIZE) -> None:
         super().__init__(num_blocks, block_size)
-        self._by_hash: dict[int, _SharedBlock] = {}
-        self._hash_of_block: dict[int, int] = {}
-        # blocks with refcount 0 whose contents are still valid, LRU order
-        self._reusable: OrderedDict[int, int] = OrderedDict()  # hash -> block
-        self._seq_shared: dict[int, list[int]] = {}
+        self._block_of: dict[int, int] = {}  # resident hash -> block
+        self._refs: dict[int, int] = {}  # resident hash -> refcount
+        # refcount-0 content still valid, LRU order: hash -> block
+        self._reusable: OrderedDict[int, int] = OrderedDict()
+        self._seq_shared: dict[int, list[int]] = {}  # seq -> held hashes
+        self._scattered: set[int] = set()
         self.stats = PrefixStats()
 
     # ------------------------------------------------------------------ #
@@ -72,13 +75,16 @@ class PrefixCachingKVCache(PagedKVCache):
         if self._free:
             return self._free.pop()
         if self._reusable:
-            # evict the least-recently-used cached block (reusable blocks
-            # are keyed only by _reusable/_hash_of_block, not _by_hash)
-            h, block = self._reusable.popitem(last=False)
-            del self._hash_of_block[block]
+            # evict the least-recently-used cached block
             self.stats.evictions += 1
-            return block
+            return self._reusable.popitem(last=False)[1]
         raise MemoryError("KV pool exhausted")
+
+    def refcounts(self) -> dict[int, int]:
+        """``{block: refcount}`` of the resident shared content (blocks of
+        unreferenced cached content are in the reusable pool instead)."""
+        refs = self._refs
+        return {block: refs[h] for h, block in self._block_of.items()}
 
     # ------------------------------------------------------------------ #
     # prefix-aware allocation
@@ -89,7 +95,7 @@ class PrefixCachingKVCache(PagedKVCache):
         hash hits, counted from the front until the first miss)."""
         cached = 0
         for h in block_hashes:
-            if h in self._by_hash or h in self._reusable:
+            if h in self._block_of or h in self._reusable:
                 cached += self.block_size
             else:
                 break
@@ -122,47 +128,65 @@ class PrefixCachingKVCache(PagedKVCache):
                 "the preceding context and therefore be unique per request"
             )
         need_total = self.blocks_needed(num_tokens)
-
-        blocks: list[int] = []
-        shared: list[int] = []
-        cached_tokens = 0
-        hit_streak = True
-        by_hash = self._by_hash
+        block_of = self._block_of
+        refs = self._refs
         reusable = self._reusable
+
+        # the hit streak: resident or reusable content, from the front
         stats = self.stats
         stats.lookups += len(block_hashes)
+        blocks: list[int] = []
         for h in block_hashes:
-            entry = by_hash.get(h)
-            if entry is None and h in reusable:
-                block = reusable.pop(h)
-                entry = _SharedBlock(block_id=block, refcount=0)
-                by_hash[h] = entry
-            if entry is not None and hit_streak:
-                stats.hits += 1
-                entry.refcount += 1
-                blocks.append(entry.block_id)
-                shared.append(entry.block_id)
-                cached_tokens += self.block_size
-                continue
-            hit_streak = False
-            block = self._take_free_block()
+            block = block_of.get(h)
+            if block is not None:
+                refs[h] += 1
+            else:
+                block = reusable.pop(h, None)
+                if block is None:
+                    break
+                block_of[h] = block
+                refs[h] = 1
             blocks.append(block)
-            if h not in by_hash:
-                # register this request's content for future sharers
-                by_hash[h] = _SharedBlock(block_id=block, refcount=1)
-                self._hash_of_block[block] = h
-                shared.append(block)
-            # else: identical content is resident under another sequence's
-            # block; keep this copy private to avoid refcount aliasing
-        # private blocks for the unhashed remainder (bulk take: same pop
-        # order as one-at-a-time, see _take_free_blocks)
-        if len(blocks) < need_total:
+        hits = len(blocks)
+        stats.hits += hits
+        shared = list(block_hashes[:hits])
+
+        # the misses: a fresh block each, registered for future sharers
+        # unless the content is resident already (then the copy stays
+        # private; content parked in the reusable pool is made resident
+        # at refcount 0 first).  Drained from the free list in one slice
+        # when it holds every block still needed — eviction order only
+        # matters once it runs dry.
+        misses = block_hashes[hits:]
+        if len(self._free) >= need_total - hits:
+            fresh = self._take_free_blocks(need_total - hits)
+        else:
+            fresh = None
+        for i, h in enumerate(misses):
+            parked = reusable.pop(h, None)
+            if parked is not None:
+                block_of[h] = parked
+                refs[h] = 0
+            block = fresh[i] if fresh is not None \
+                else self._take_free_block()
+            blocks.append(block)
+            if h not in block_of:
+                block_of[h] = block
+                refs[h] = 1
+                shared.append(h)
+            else:
+                self._scattered.add(seq_id)
+        if fresh is not None:
+            blocks.extend(fresh[len(misses):])
+        elif len(blocks) < need_total:
+            # private blocks for the unhashed remainder (bulk take: same
+            # pop order as one-at-a-time, see _take_free_blocks)
             blocks.extend(self._take_free_blocks(need_total - len(blocks)))
 
         self._tables[seq_id] = BlockTable(blocks=blocks, num_tokens=num_tokens)
         self._seq_shared[seq_id] = shared
         self._observe("allocate", seq_id, need_total - len(shared))
-        return cached_tokens
+        return hits * self.block_size
 
     def free(self, seq_id: int) -> None:  # type: ignore[override]
         """Release a sequence; shared blocks decrement refcounts and park
@@ -170,29 +194,34 @@ class PrefixCachingKVCache(PagedKVCache):
         table = self._tables.pop(seq_id, None)
         if table is None:
             raise KeyError(f"sequence {seq_id} has no allocation")
-        shared = set(self._seq_shared.pop(seq_id, []))
-        if not shared:
-            # nothing content-addressed: identical to the base free
-            self._free.extend(reversed(table.blocks))
-            self._observe("free", seq_id, len(table.blocks))
-            return
-        for block in reversed(table.blocks):
-            if block in shared:
-                h = self._hash_of_block[block]
-                entry = self._by_hash[h]
-                entry.refcount -= 1
-                if entry.refcount == 0:
-                    del self._by_hash[h]
-                    self._reusable[h] = block
-                    self._reusable.move_to_end(h)
+        blocks = table.blocks
+        shared = self._seq_shared.pop(seq_id, ())
+        block_of = self._block_of
+        if seq_id in self._scattered:
+            self._scattered.discard(seq_id)
+            held = {block_of[h] for h in shared}
+            self._free.extend(b for b in reversed(blocks) if b not in held)
+        else:
+            # held blocks are the table's prefix: the private tail returns
+            # in one extend (the free list and the reusable pool are
+            # separate, so interleaving them per block changes nothing)
+            self._free.extend(reversed(blocks[len(shared):]))
+        refs = self._refs
+        reusable = self._reusable
+        for h in reversed(shared):
+            left = refs[h] - 1
+            if left:
+                refs[h] = left
             else:
-                self._free.append(block)
-        self._observe("free", seq_id, len(table.blocks))
+                del refs[h]
+                reusable[h] = block_of.pop(h)
+        self._observe("free", seq_id, len(blocks))
 
     def reset(self) -> None:  # type: ignore[override]
         super().reset()
-        self._by_hash.clear()
-        self._hash_of_block.clear()
+        self._block_of.clear()
+        self._refs.clear()
         self._reusable.clear()
         self._seq_shared.clear()
+        self._scattered.clear()
         self.stats = PrefixStats()

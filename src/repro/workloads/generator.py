@@ -77,7 +77,8 @@ class LengthDistribution:
         mu_out = np.log(self.mean_output) - self.sigma**2 / 2
         ins = np.exp(rng.normal(mu_in, self.sigma, n))
         outs = np.exp(rng.normal(mu_out, self.sigma, n))
-        clip = lambda x: int(np.clip(round(x), self.min_tokens, self.max_tokens))
+        lo, hi = self.min_tokens, self.max_tokens
+        clip = lambda x: int(min(max(round(x), lo), hi))
         return [(clip(i), clip(o)) for i, o in zip(ins, outs)]
 
     def requests(

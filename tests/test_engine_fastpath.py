@@ -43,7 +43,7 @@ from repro.models.zoo import get_model
 from repro.perfmodel import stepcache
 from repro.perfmodel.inference import InferencePerfModel
 from repro.serving.engine import ServingEngine
-from repro.serving.fastpath import EngineFastPath
+from repro.serving.fastpath import DECODE_BLOCK, EngineFastPath
 from repro.serving.request import Request, SamplingParams
 from repro.serving.scheduler import SchedulerConfig
 
@@ -494,8 +494,9 @@ class TestHorizonSplitWindows:
     fleet horizons; the pieces must replay the unbroken window exactly."""
 
     @staticmethod
-    def _decoding(prompts, max_tokens, pool, prefix) -> ServingEngine:
-        with _engine_mode(True):
+    def _decoding(prompts, max_tokens, pool, prefix,
+                  vectorize: bool = True) -> ServingEngine:
+        with _engine_mode(vectorize):
             engine = ServingEngine(_perf("OLMoE-1B-7B"),
                                    kv_pool_tokens=pool,
                                    enable_prefix_caching=prefix)
@@ -535,13 +536,16 @@ class TestHorizonSplitWindows:
         assert split.log.events[start:] == whole.log.events[start:]
         assert split.clock == whole.clock
         assert _kv_state(split) == _kv_state(whole)
-        assert run_digest(split.run()) == run_digest(whole.run())
+        scalar = self._decoding(prompts, max_tokens, pool, prefix,
+                                vectorize=False)
+        assert run_digest(split.run()) == run_digest(whole.run()) \
+            == run_digest(scalar.run())
 
 
 class TestDecodeMemo:
     """Every decode duration the fast path memoizes is the one-point
-    price of its shape: a window's array pass and the completing step's
-    probe agree bit for bit."""
+    price of its shape: a block's array pass and a one-point probe agree
+    bit for bit."""
 
     @pytest.mark.parametrize("model", _MODELS)
     def test_memo_entries_equal_step_total_one(self, model):
@@ -561,6 +565,9 @@ class TestDecodeMemo:
             assert plan
             for context, seconds in plan.items():
                 assert seconds == steps.step_total_one(batch, batch, context)
+            # a miss prices the whole aligned block around the context
+            for low in {c - c % DECODE_BLOCK for c in plan}:
+                assert set(range(low or 1, low + DECODE_BLOCK)) <= set(plan)
 
     @pytest.mark.parametrize("model", _MODELS)
     @pytest.mark.parametrize("batch", [1, 7, 64])
