@@ -65,21 +65,25 @@ def apply_capacity(routing: RoutingResult, capacity: int) -> CapacityResult:
 
     Assignments are prioritised by router weight (highest first), matching
     the standard implementation; ties break by token order for determinism.
+
+    Filling experts greedily in that priority order keeps an assignment
+    exactly when fewer than ``capacity`` assignments to its expert come
+    before it, so the mask is computed from each assignment's rank within
+    its expert: a stable sort by expert of the priority order.
     """
     if capacity <= 0:
         raise ValueError("capacity must be positive")
     n, k = routing.indices.shape
-    kept = np.zeros((n, k), dtype=bool)
-    flat_w = routing.weights.ravel()
-    order = np.argsort(-flat_w, kind="stable")
-    fill = np.zeros(routing.num_experts, dtype=np.int64)
-    for flat_idx in order:
-        t, s = divmod(int(flat_idx), k)
-        e = routing.indices[t, s]
-        if fill[e] < capacity:
-            fill[e] += 1
-            kept[t, s] = True
-    return CapacityResult(routing=routing, kept_mask=kept, capacity=capacity)
+    order = np.argsort(-routing.weights.ravel(), kind="stable")
+    experts = routing.indices.ravel()[order]
+    grouped = np.argsort(experts, kind="stable")
+    counts = np.bincount(experts, minlength=routing.num_experts)
+    starts = np.cumsum(counts) - counts
+    rank = np.arange(n * k) - starts[experts[grouped]]
+    kept = np.zeros(n * k, dtype=bool)
+    kept[order[grouped[rank < capacity]]] = True
+    return CapacityResult(routing=routing, kept_mask=kept.reshape(n, k),
+                          capacity=capacity)
 
 
 def drop_statistics(

@@ -8,7 +8,7 @@ import pytest
 from repro.models.config import MoEConfig
 from repro.moe.capacity import apply_capacity, drop_statistics, expert_capacity
 from repro.moe.layer import MoELayer
-from repro.moe.router import TopKRouter
+from repro.moe.router import RoutingResult, TopKRouter
 
 
 class TestExpertCapacity:
@@ -71,6 +71,59 @@ class TestApplyCapacity:
     def test_validation(self, routing):
         with pytest.raises(ValueError):
             apply_capacity(routing, 0)
+
+
+def _greedy_mask(routing, capacity: int) -> np.ndarray:
+    """The greedy fill, one assignment at a time in stable -weight order."""
+    n, k = routing.indices.shape
+    kept = np.zeros((n, k), dtype=bool)
+    fill = np.zeros(routing.num_experts, dtype=np.int64)
+    for flat_idx in np.argsort(-routing.weights.ravel(), kind="stable"):
+        t, s = divmod(int(flat_idx), k)
+        e = routing.indices[t, s]
+        if fill[e] < capacity:
+            fill[e] += 1
+            kept[t, s] = True
+    return kept
+
+
+class TestAgainstGreedyFill:
+    """The rank-based mask equals the greedy fill it replaces."""
+
+    @staticmethod
+    def _routing(seed: int, tokens: int, experts: int, top_k: int,
+                 tied: bool) -> RoutingResult:
+        rng = np.random.default_rng(seed)
+        indices = np.stack([rng.choice(experts, top_k, replace=False)
+                            for _ in range(tokens)])
+        weights = rng.random((tokens, top_k)).astype(np.float32)
+        if tied:  # a handful of distinct weights: ties everywhere
+            weights = np.round(weights * 3) / 3
+        probs = np.full((tokens, experts), 1.0 / experts)
+        return RoutingResult(indices=indices, weights=weights, probs=probs)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("capacity", [1, 2, 5, 40, 10_000])
+    def test_mask_equals_greedy_fill(self, seed, tied, capacity):
+        experts = (4, 8, 64)[seed % 3]
+        routing = self._routing(seed, 40 + 7 * seed, experts,
+                                min(2 + seed % 2, experts), tied)
+        got = apply_capacity(routing, capacity).kept_mask
+        assert got.dtype == bool and got.shape == routing.indices.shape
+        assert np.array_equal(got, _greedy_mask(routing, capacity))
+
+    def test_router_output_and_all_tied(self, rng):
+        router = TopKRouter(32, 8, 2, expert_bias_std=1.5, rng=rng)
+        routing = router.route(rng.normal(0, 1, (300, 32)).astype(np.float32))
+        flat = RoutingResult(indices=routing.indices,
+                             weights=np.ones_like(routing.weights),
+                             probs=routing.probs)
+        for r in (routing, flat):
+            for capacity in (1, 3, 37, r.num_tokens):
+                assert np.array_equal(apply_capacity(r, capacity).kept_mask,
+                                      _greedy_mask(r, capacity))
+        assert apply_capacity(routing, routing.num_tokens).kept_mask.all()
 
 
 class TestDropStatistics:
