@@ -175,6 +175,11 @@ class LintProject:
         self.files: list[SourceFile] = []
         self.errors: list[Violation] = []
         self._by_rel: dict[str, SourceFile] = {}
+        self.facts: dict[Callable, object] = {}
+        """Whole-project facts computed once and shared by every project
+        rule that asks, keyed by the function computing them (see
+        ``registry.registered_experiment_ids``); callers must not mutate
+        them."""
         for sub in source_dirs:
             base = self.root / sub
             if not base.is_dir():

@@ -39,8 +39,14 @@ FAMILY_DOCS: dict[str, str] = {
 
 
 def registered_experiment_ids(project: LintProject) -> dict[str, tuple[str, int]]:
-    """id → (path, line) of every ``@experiment("id")`` decorator."""
-    ids: dict[str, tuple[str, int]] = {}
+    """id → (path, line) of every ``@experiment("id")`` decorator.
+
+    Scanned once per project (REG001, REG002, REG003 and REG005 all ask)
+    and shared: callers must not mutate the result."""
+    ids = project.facts.get(registered_experiment_ids)
+    if ids is not None:
+        return ids
+    ids = {}
     for sf in project.files:
         if not sf.rel.startswith(_EXPERIMENTS_DIR):
             continue
@@ -55,6 +61,7 @@ def registered_experiment_ids(project: LintProject) -> dict[str, tuple[str, int]
                         and isinstance(dec.args[0], ast.Constant)
                         and isinstance(dec.args[0].value, str)):
                     ids[dec.args[0].value] = (sf.rel, dec.lineno)
+    project.facts[registered_experiment_ids] = ids
     return ids
 
 

@@ -47,6 +47,18 @@ def _project(tmp_path, *, experiments=("figx",), baselines=("figx",),
     return LintProject(tmp_path)
 
 
+class _Recording(list):
+    """A node list that notes each iteration over it."""
+
+    def __init__(self, nodes, walked: list) -> None:
+        super().__init__(nodes)
+        self._walked = walked
+
+    def __iter__(self):
+        self._walked.append(self)
+        return super().__iter__()
+
+
 def _run(rule_id: str, project: LintProject):
     return list(get_rule(rule_id).run(project))
 
@@ -60,6 +72,19 @@ class TestParsers:
         assert set(ids) == {"figx", "figy"}
         path, line = ids["figx"]
         assert path.startswith("src/repro/experiments/")
+
+    def test_registry_scanned_once_per_project(self, tmp_path, monkeypatch):
+        project = _project(tmp_path, experiments=("figx",),
+                           baselines=("figx",), documented=("figx",))
+        walked: list = []
+        for sf in project.files:
+            if sf.rel.startswith("src/repro/experiments/"):
+                monkeypatch.setattr(sf, "nodes", _Recording(sf.nodes, walked))
+        for rule_id in ("REG001", "REG002", "REG003", "REG005"):
+            _run(rule_id, project)
+        assert registered_experiment_ids(project) is \
+            registered_experiment_ids(project)
+        assert len(walked) == 1  # one experiments file, walked once
 
     def test_bench_files_globbed(self, tmp_path):
         project = _project(tmp_path, baselines=("figx", "wallclock"))
