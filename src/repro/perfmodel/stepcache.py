@@ -123,12 +123,13 @@ class StepCache:
         replicas share one perf model; sweep points share a setup id) only
         changes wallclock, never outputs.  Filled and bounded by
         :class:`~repro.serving.fastpath.EngineFastPath`."""
-        self.decode_plans: dict[tuple[int, int], dict[int, float]] = {}
-        """Decode-step seconds as ``(setup_id, batch) -> {context: s}`` —
-        the nesting keeps the engine fast path's per-iteration probes on
-        plain int keys (a window prices thousands of contexts per plan;
-        flat tuple keys would allocate and hash a tuple per point).  Same
-        sharing and bit-identity contract as :attr:`totals`."""
+        self.decode_plans: dict[tuple[int, int], dict[int, list[float]]] = {}
+        """Decode-step seconds as ``(setup_id, batch) -> {block: row}``,
+        where ``row[i]`` is the step at context ``block * DECODE_BLOCK +
+        i`` (see :mod:`repro.serving.fastpath`) — the nesting keeps the
+        engine fast path's per-iteration probes on plain int keys, and a
+        row is the list one array pass returns.  Same sharing and
+        bit-identity contract as :attr:`totals`."""
 
     # ------------------------------------------------------------------ #
     # setup interning

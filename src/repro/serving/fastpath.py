@@ -15,12 +15,13 @@ first-crossing residue (mod ``block_size``) per sequence, and
 request/block-table counters are committed with one addition per
 sequence instead of one per token.
 
-The decode memo is keyed on ``(batch, context)`` and filled a block at a
-time: a miss prices the whole aligned run of :data:`DECODE_BLOCK`
-contexts around the missing one in one
-:meth:`~repro.perfmodel.phases.StepModel.decode_totals` array pass, so a
-run of windows (and the completing step after each) pays one array pass
-per 64 contexts instead of one per window.  The iterations a window
+The decode memo is keyed on ``(batch, context // DECODE_BLOCK)`` and
+filled a row at a time: a miss prices the whole aligned block of
+:data:`DECODE_BLOCK` contexts around the missing one in one
+:meth:`~repro.perfmodel.phases.StepModel.decode_totals` array pass and
+keeps the returned list as the row, so a run of windows (and the
+completing step after each) pays one array pass per 64 contexts instead
+of one per window.  The iterations a window
 cannot take — admission prefills and the completing decode step at each
 request's end — still run through the scalar ``step()``, but their
 durations are priced through :meth:`EngineFastPath.step_total`: decode
@@ -66,6 +67,9 @@ would be "quiet"; anything else returns 0 and the caller runs the plain
 * the next iteration would finish a request (windows stop one iteration
   short of the earliest ``max_tokens`` completion) or needs more KV
   blocks than are available (the preemption decision stays scalar);
+* a block table holds a whole spare block (the allocators never leave
+  one, and the crossing residues assume fewer than ``block_size`` free
+  slots per sequence);
 * an armed alert rule could fire on it: the window is planned first, as
   one DECODE event per iteration, and cut to
   ``AlertMonitor.quiet_iterations`` before any state is committed (a rule
@@ -106,10 +110,10 @@ runs simply split)."""
 
 DECODE_BLOCK = 64
 """Decode contexts priced per memo miss: the aligned block
-``[64 * q, 64 * q + 64)`` (context 0 excluded) for the missing context's
-batch.  An array pass has a fixed cost near 140 us and pricing 64 points
-adds about a third to it, while windows and completing steps walk
-contexts upwards one at a time."""
+``[64 * q, 64 * q + 64)`` for the missing context's batch, kept as one
+row of the memo.  An array pass has a fixed cost near 140 us and pricing
+64 points adds about a third to it, while windows and completing steps
+walk contexts upwards one at a time."""
 
 
 def engine_vectorize_enabled() -> bool:
@@ -137,10 +141,10 @@ class EngineFastPath:
         scalar calls, so sharing affects wallclock only.  Private
         per-engine when the step cache is disabled."""
         self._decode_plans = self._cache.decode_plans if shared else {}
-        """``(setup_id, batch) -> {context: seconds}`` decode memo (see
-        ``StepCache.decode_plans``), filled one :data:`DECODE_BLOCK` of
-        contexts at a time by :meth:`_price_block`."""
-        self._plan_by_batch: dict[int, dict[int, float]] = {}
+        """``(setup_id, batch) -> {block: row}`` decode memo (see
+        ``StepCache.decode_plans``), filled one :data:`DECODE_BLOCK` row
+        at a time by :meth:`_price_block`."""
+        self._plan_by_batch: dict[int, dict[int, list[float]]] = {}
         """This engine's view of :attr:`_decode_plans` keyed by batch
         alone (the setup id is fixed per engine), so hot probes skip the
         outer tuple key."""
@@ -156,8 +160,8 @@ class EngineFastPath:
             memo.clear()
         memo[key] = total
 
-    def _plan(self, batch: int) -> dict[int, float]:
-        """The shared ``{context: seconds}`` decode memo for ``batch``."""
+    def _plan(self, batch: int) -> dict[int, list[float]]:
+        """The shared ``{block: row}`` decode memo for ``batch``."""
         plan = self._plan_by_batch.get(batch)
         if plan is None:
             plans = self._decode_plans
@@ -168,16 +172,19 @@ class EngineFastPath:
             self._plan_by_batch[batch] = plan
         return plan
 
-    def _price_block(self, plan: dict[int, float], batch: int,
-                     context: int) -> float:
-        """Price the aligned :data:`DECODE_BLOCK` of contexts holding
-        ``context`` for ``batch`` in one array pass into ``plan``; return
-        ``context``'s seconds."""
-        low = context - context % DECODE_BLOCK
+    def _price_block(self, plan: dict[int, list[float]], batch: int,
+                     block: int) -> list[float]:
+        """Price contexts ``[block, block + 1) * DECODE_BLOCK`` for
+        ``batch`` in one array pass and memoize them as ``plan[block]``.
+        Context 0 never occurs (the mean context is at least 1), so block
+        0 prices from context 1 and holds NaN in its slot."""
+        low = block * DECODE_BLOCK
         contexts = range(low or 1, low + DECODE_BLOCK)
-        plan.update(zip(contexts, self.steps.decode_totals(
-            [batch] * len(contexts), contexts)))
-        return plan[context]
+        row = self.steps.decode_totals([batch] * len(contexts), contexts)
+        if not low:
+            row.insert(0, math.nan)
+        plan[block] = row
+        return row
 
     def step_total(self, num_tokens: int, batch: int, kv_len: float,
                    phase: str, attended_len: float | None = None) -> float:
@@ -188,10 +195,11 @@ class EngineFastPath:
         context), every other shape through the shared totals memo."""
         if phase == "decode":
             plan = self._plan(batch)
-            total = plan.get(kv_len)
-            if total is None:
-                total = self._price_block(plan, batch, kv_len)
-            return total
+            block, offset = divmod(kv_len, DECODE_BLOCK)
+            row = plan.get(block)
+            if row is None:
+                row = self._price_block(plan, batch, block)
+            return row[offset]
         key = (self._sid, num_tokens, batch, kv_len, attended_len)
         total = self._totals.get(key)
         if total is None:
@@ -260,7 +268,8 @@ class EngineFastPath:
         # plan one DECODE event per iteration up to the first stop, state
         # untouched; durations come from the block-priced decode memo
         plan = self._plan(batch)
-        request_ids = tuple(r.request_id for r in running)
+        per_row = DECODE_BLOCK
+        request_ids = tuple([r.request_id for r in running])
         num_blocks = kv.num_blocks
         free = kv.free_blocks
         available = kv.available_blocks
@@ -281,9 +290,10 @@ class EngineFastPath:
                 available -= len(pops)
             # _iteration_cost's exact context: max(1, int(mean kv_tokens))
             context = int(tokens / batch) or 1
-            duration_s = plan.get(context)
-            if duration_s is None:
-                duration_s = self._price_block(plan, batch, context)
+            row = plan.get(context // per_row)
+            if row is None:
+                row = self._price_block(plan, batch, context // per_row)
+            duration_s = row[context % per_row]
             clock = clock + duration_s
             record(Event(
                 clock, decode, request_ids,
