@@ -96,16 +96,8 @@ class EventLog:
                 f"{self.events[-1].time}"
             )
         self.events.extend(batch)
-        by_type = self._by_type
-        busy = self._total_busy
-        peak = self._peak_kv
         for event in batch:
-            by_type[event.type].append(event)
-            busy += event.duration_s
-            if event.kv_utilization > peak:
-                peak = event.kv_utilization
-        self._total_busy = busy
-        self._peak_kv = peak
+            self._index(event)
 
     def of_type(self, event_type: EventType) -> list[Event]:
         return list(self._by_type[event_type])

@@ -21,13 +21,13 @@ filled a row at a time: a miss prices the whole aligned block of
 :meth:`~repro.perfmodel.phases.StepModel.decode_totals` array pass and
 keeps the returned list as the row, so a run of windows (and the
 completing step after each) pays one array pass per 64 contexts instead
-of one per window.  The iterations a window
-cannot take — admission prefills and the completing decode step at each
-request's end — still run through the scalar ``step()``, but their
-durations are priced through :meth:`EngineFastPath.step_total`: decode
-shapes through the same block-priced memo, prefill shapes through
-one-point :meth:`~repro.perfmodel.phases.StepModel.step_total_one`, which
-skips building a breakdown.
+of one per window.  The iterations a window cannot take — admission
+prefills and the completing decode step at each request's end — still
+run through the scalar ``step()``, but their durations are priced
+through :meth:`EngineFastPath.step_total`: decode shapes through the
+same block-priced memo, prefill shapes through one-point
+:meth:`~repro.perfmodel.phases.StepModel.step_total_one`, which skips
+building a breakdown.
 
 **Bit-identity contract.**  The fingerprint gate digests ``repr()`` of
 every float and the chaos/fleet digests hash the event stream via
@@ -111,9 +111,9 @@ runs simply split)."""
 DECODE_BLOCK = 64
 """Decode contexts priced per memo miss: the aligned block
 ``[64 * q, 64 * q + 64)`` for the missing context's batch, kept as one
-row of the memo.  An array pass has a fixed cost near 140 us and pricing
-64 points adds about a third to it, while windows and completing steps
-walk contexts upwards one at a time."""
+row of the memo.  An array pass has a fixed cost near 140 us on a 2-vCPU
+Xeon and pricing 64 points adds about a third to it, while windows and
+completing steps walk contexts upwards one at a time."""
 
 
 def engine_vectorize_enabled() -> bool:

@@ -154,33 +154,23 @@ class PrefixCachingKVCache(PagedKVCache):
         # the misses: a fresh block each, registered for future sharers
         # unless the content is resident already (then the copy stays
         # private; content parked in the reusable pool is made resident
-        # at refcount 0 first).  Drained from the free list in one slice
-        # when it holds every block still needed — eviction order only
-        # matters once it runs dry.
-        misses = block_hashes[hits:]
-        if len(self._free) >= need_total - hits:
-            fresh = self._take_free_blocks(need_total - hits)
-        else:
-            fresh = None
-        for i, h in enumerate(misses):
+        # at refcount 0 first)
+        for h in block_hashes[hits:]:
             parked = reusable.pop(h, None)
             if parked is not None:
                 block_of[h] = parked
                 refs[h] = 0
-            block = fresh[i] if fresh is not None \
-                else self._take_free_block()
+            block = self._take_free_block()
             blocks.append(block)
-            if h not in block_of:
+            if h in block_of:
+                self._scattered.add(seq_id)
+            else:
                 block_of[h] = block
                 refs[h] = 1
                 shared.append(h)
-            else:
-                self._scattered.add(seq_id)
-        if fresh is not None:
-            blocks.extend(fresh[len(misses):])
-        elif len(blocks) < need_total:
-            # private blocks for the unhashed remainder (bulk take: same
-            # pop order as one-at-a-time, see _take_free_blocks)
+        # private blocks for the unhashed remainder (bulk take: same pop
+        # order as one-at-a-time, see _take_free_blocks)
+        if len(blocks) < need_total:
             blocks.extend(self._take_free_blocks(need_total - len(blocks)))
 
         self._tables[seq_id] = BlockTable(blocks=blocks, num_tokens=num_tokens)
