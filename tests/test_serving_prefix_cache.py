@@ -97,6 +97,21 @@ class TestLifecycle:
         cache.reset()
         assert cache.allocate_with_prefix(2, 2 * BS, (5,)) == 0
 
+    def test_parked_hash_after_first_miss_is_not_stranded(self):
+        """Content parked in the reusable pool and met again after an
+        allocation's first miss must not leave the pool for good: once
+        every sequence is freed, every block is free or reusable."""
+        from repro.faults.invariants import check_kv_integrity
+
+        cache = PrefixCachingKVCache(num_blocks=11, block_size=BS)
+        cache.allocate_with_prefix(1, 2 * BS, (1000, 1))
+        cache.free(1)  # both blocks parked: 1000 and 1 are reusable
+        assert cache.allocate_with_prefix(2, 2 * BS, (0, 1)) == 0
+        check_kv_integrity(cache)
+        cache.free(2)
+        check_kv_integrity(cache)
+        assert cache.free_blocks == 11
+
 
 class TestEngineIntegration:
     def _engine(self, prefix: bool) -> ServingEngine:
