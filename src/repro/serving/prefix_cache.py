@@ -48,7 +48,7 @@ class PrefixCachingKVCache(PagedKVCache):
     reference count, ``_reusable`` the unreferenced content still valid,
     in LRU order.  A sequence remembers the hashes it holds references
     on, in table order.  Those blocks are the table's prefix unless the
-    allocation hit resident content after its first miss; such sequences
+    allocation met cached content after its first miss; such sequences
     are listed in ``_scattered`` and freed block by block.
     """
 
@@ -152,17 +152,13 @@ class PrefixCachingKVCache(PagedKVCache):
         shared = list(block_hashes[:hits])
 
         # the misses: a fresh block each, registered for future sharers
-        # unless the content is resident already (then the copy stays
-        # private; content parked in the reusable pool is made resident
-        # at refcount 0 first)
+        # unless the content is cached already, resident or parked in the
+        # reusable pool (then the copy stays private and the cached
+        # content stays where it is)
         for h in block_hashes[hits:]:
-            parked = reusable.pop(h, None)
-            if parked is not None:
-                block_of[h] = parked
-                refs[h] = 0
             block = self._take_free_block()
             blocks.append(block)
-            if h in block_of:
+            if h in block_of or h in reusable:
                 self._scattered.add(seq_id)
             else:
                 block_of[h] = block

@@ -191,19 +191,23 @@ class _ReferencePrefixCache:
         self.lookups += len(hashes)
         for h in hashes:
             entry = self.resident.get(h)
-            if entry is None:
-                block = self._unpark(h)
-                if block is not None:
-                    entry = self.resident[h] = [block, 0]
-            if entry is not None and hits == len(blocks):
-                hits += 1
-                entry[1] += 1
-                blocks.append(entry[0])
-                shared.append(entry[0])
-                continue
+            if hits == len(blocks):  # still in the hit streak
+                if entry is None:
+                    block = self._unpark(h)
+                    if block is not None:
+                        entry = self.resident[h] = [block, 0]
+                if entry is not None:
+                    hits += 1
+                    entry[1] += 1
+                    blocks.append(entry[0])
+                    shared.append(entry[0])
+                    continue
+            # after the first miss, cached content (resident or parked)
+            # stays where it is and the copy stays private
             block = self._take()
             blocks.append(block)
-            if h not in self.resident:
+            if h not in self.resident and \
+                    all(parked != h for parked, _ in self.reusable):
                 self.resident[h] = [block, 1]
                 shared.append(block)
         while len(blocks) * self.block_size < num_tokens:
@@ -319,3 +323,4 @@ class TestAgainstReference:
             ref.release(seq)
         assert cache._free == ref.free
         assert list(cache._reusable.items()) == ref.reusable
+        assert cache.free_blocks == num_blocks  # no block is stranded
