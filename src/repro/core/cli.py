@@ -17,7 +17,7 @@ Usage::
     repro report --bundle DIR | --check
     repro slo [--check] [--out report.json] [--bundle-dir DIR]
     repro bench --record [--figs fig05,fig06] [--note "..."]
-    repro bench --check [--wall] [--jobs N]
+    repro bench --check [--jobs N]
     repro bench --trend [--out trend.md]
     repro profile [model-or-experiment] [--out profile.folded]
     repro chaos [--fault-seed N] [--fault-rate R] [--policy retry|failfast]
@@ -325,13 +325,8 @@ def _bench_ids(args: argparse.Namespace, store) -> list[str]:
     if args.figs:
         return [f.strip() for f in args.figs.split(",") if f.strip()]
     if args.check or args.trend:
-        # gate / chart whatever has a recorded baseline; "wallclock" is the
-        # suite-timing pseudo-baseline written by benchmarks/bench_wallclock
-        # — it has no experiment behind it, so record/check skip it (the
-        # trend report still charts its trajectory)
+        # gate / chart whatever has a recorded baseline
         known = store.known_ids()
-        if not args.trend:
-            known = [eid for eid in known if eid != "wallclock"]
         if known:
             return known
     return list_experiments()
@@ -372,8 +367,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     _apply_fastpath_flags(args)
     failures = 0
     all_drifts = []
-    for exp_id, result in iter_experiments(ids, jobs=args.jobs,
-                                           baseline_dir=args.dir):
+    for exp_id, result in iter_experiments(ids, jobs=args.jobs):
         fp = result.fingerprint()
         if args.record:
             path = store.record(fp, note=args.note)
@@ -385,8 +379,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             failures += 1
             continue
-        drifts = compare_fingerprints(baseline, fp, Tolerance(),
-                                      check_wall=args.wall)
+        drifts = compare_fingerprints(baseline, fp, Tolerance())
         if drifts:
             suspect = first_suspect(store.latest_sha(exp_id), args.dir)
             drifts = [dataclasses.replace(d, suspect=suspect) for d in drifts]
@@ -409,10 +402,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _render_trend(store, ids: list[str]) -> str:
-    """Fingerprint trajectories (sim time + wall runtime) as markdown."""
+    """Fingerprint trajectories (simulated time) as markdown."""
     lines = ["# Benchmark trend", "",
              "| figure | records | sim_time_total_s trajectory | "
-             "runtime_s trajectory | last recorded |", "|---|---:|---|---|---|"]
+             "last recorded |", "|---|---:|---|---|"]
     charted = 0
     for exp_id in ids:
         records = store.records(exp_id)
@@ -421,43 +414,13 @@ def _render_trend(store, ids: list[str]) -> str:
         charted += 1
         sims = [r["fingerprint"].get("sim", {}).get("sim_time_total_s")
                 for r in records]
-        # the wallclock pseudo-baseline records the whole suite's wall
-        # as suite_wall_s; chart it in the same column
-        walls = [r["fingerprint"].get("wall", {}).get("runtime_s",
-                 r["fingerprint"].get("wall", {}).get("suite_wall_s"))
-                 for r in records]
-        fmt = lambda xs: " → ".join(
-            "?" if x is None else f"{x:.4g}" for x in xs[-6:])
-        lines.append(f"| {exp_id} | {len(records)} | {fmt(sims)} | "
-                     f"{fmt(walls)} | {records[-1]['recorded_at']} |")
+        trajectory = " → ".join(
+            "?" if x is None else f"{x:.4g}" for x in sims[-6:])
+        lines.append(f"| {exp_id} | {len(records)} | {trajectory} | "
+                     f"{records[-1]['recorded_at']} |")
     if charted == 0:
         return "no recorded baselines — run `repro bench --record` first"
-    lines.extend(_render_wallclock_trend(store))
     return "\n".join(lines)
-
-
-def _render_wallclock_trend(store) -> list[str]:
-    """The suite-timing pseudo-baseline (``BENCH_wallclock.json``) as its
-    own trend section, so the perf trajectory renders next to the
-    experiment trends instead of living in a separate report."""
-    records = store.records("wallclock")
-    if not records:
-        return []
-    lines = ["", "## Suite wall clock", "",
-             "| recorded | suite_wall_s | jobs | cpus | "
-             "speedup vs serial baseline |", "|---|---:|---:|---:|---:|"]
-    for record in records[-8:]:
-        wall = record["fingerprint"].get("wall", {})
-        fmt = lambda key: ("?" if wall.get(key) is None
-                           else f"{wall[key]:.4g}")
-        lines.append(
-            f"| {record['recorded_at']} | {fmt('suite_wall_s')} | "
-            f"{fmt('jobs')} | {fmt('cpus')} | "
-            f"{fmt('speedup_vs_baseline')}x |")
-    hidden = len(records) - min(len(records), 8)
-    if hidden > 0:
-        lines.append(f"\n… {hidden} older record(s) elided.")
-    return lines
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -850,8 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: repo root)")
     p_bench.add_argument("--note", default="",
                          help="annotation stored with --record")
-    p_bench.add_argument("--wall", action="store_true",
-                         help="also gate wall-clock metrics (loose band)")
     p_bench.add_argument("--no-overhead", action="store_true",
                          help="skip the disabled-instrumentation overhead "
                               "gate during --check")

@@ -1,17 +1,17 @@
 """Experiment fingerprints: deterministic digests of what a figure produced.
 
 A fingerprint condenses one :class:`~repro.core.experiment.ExperimentResult`
-into three layers, ordered from coarse to exact:
+into two layers, ordered from coarse to exact:
 
 * **sim metrics** — named numeric values derived from simulated time /
   counts (per-table column sums, means, and a simulated-time total).
   These are deterministic for a fixed tree, so the regression gate holds
   them to exact (float-tolerance) equality.
-* **wall metrics** — wall-clock timings (experiment runtime).  These vary
-  with the machine and are kept *separate* so only sim-derived values
-  gate by default; trend reports still chart them.
 * **table digests** — SHA-256 of each result table's canonical CSV, the
   row-level "did anything at all change" check.
+
+Only simulated outputs reach a fingerprint: the experiment's host
+runtime does not (host cost is measured by ``hostledger/ledger.py``).
 
 Fingerprints serialise to plain JSON and are stored as trajectories in
 ``BENCH_<figure>.json`` by :class:`repro.obs.regress.BaselineStore`.
@@ -37,15 +37,6 @@ _SIM_TIME_SUFFIXES = ("_s", "_ms", "_us", "time")
 _NOT_TIME_FRAGMENTS = ("tok_s", "per_s", "tok_ms", "req_s")
 """Rate columns whose names end in a time suffix but are not durations."""
 
-_WALL_NAME_FRAGMENTS = ("wall", "runtime", "elapsed")
-"""Column-name fragments classified as wall clock (never gate exactly)."""
-
-
-def _is_wall_column(name: str) -> bool:
-    lowered = name.lower()
-    return any(frag in lowered for frag in _WALL_NAME_FRAGMENTS)
-
-
 def _numeric_cells(table: "ResultTable", column: str) -> list[float]:
     return [
         float(v) for v in table.column(column)
@@ -60,7 +51,6 @@ class Fingerprint:
     exp_id: str
     schema: int = SCHEMA_VERSION
     sim: dict[str, float] = field(default_factory=dict)
-    wall: dict[str, float] = field(default_factory=dict)
     digests: dict[str, str] = field(default_factory=dict)
     structure: dict[str, Any] = field(default_factory=dict)
     """Per-table shape: ``{table: {"rows": n, "columns": [...]}}``."""
@@ -70,7 +60,6 @@ class Fingerprint:
             "exp_id": self.exp_id,
             "schema": self.schema,
             "sim": dict(sorted(self.sim.items())),
-            "wall": dict(sorted(self.wall.items())),
             "digests": dict(sorted(self.digests.items())),
             "structure": self.structure,
         }
@@ -81,25 +70,17 @@ class Fingerprint:
             exp_id=data["exp_id"],
             schema=int(data.get("schema", SCHEMA_VERSION)),
             sim={k: float(v) for k, v in data.get("sim", {}).items()},
-            wall={k: float(v) for k, v in data.get("wall", {}).items()},
             digests=dict(data.get("digests", {})),
             structure=dict(data.get("structure", {})),
         )
 
 
 def _table_digest(table: "ResultTable") -> str:
-    """SHA-256 of the table's canonical CSV (wall-like columns excluded so
-    digests stay machine-independent)."""
-    wall_cols = {c for c in table.columns if _is_wall_column(c)}
-    lines = [",".join(c for c in table.columns if c not in wall_cols)]
+    """SHA-256 of the table's canonical CSV."""
+    lines = [",".join(table.columns)]
     for row in table.rows:
-        cells = []
-        for c in table.columns:
-            if c in wall_cols:
-                continue
-            v = row[c]
-            cells.append("" if v is None else repr(v))
-        lines.append(",".join(cells))
+        lines.append(",".join("" if row[c] is None else repr(row[c])
+                              for c in table.columns))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
@@ -107,8 +88,7 @@ def fingerprint_result(result: "ExperimentResult") -> Fingerprint:
     """Fingerprint one experiment result.
 
     Sim metrics are keyed ``"<table>.<column>:sum"`` / ``":mean"`` plus a
-    cross-table ``sim_time_total_s``; wall metrics currently hold the
-    experiment's ``runtime_s``.
+    cross-table ``sim_time_total_s``.
     """
     fp = Fingerprint(exp_id=result.exp_id)
     sim_time_total = 0.0
@@ -124,9 +104,6 @@ def fingerprint_result(result: "ExperimentResult") -> Fingerprint:
                 continue
             key = f"{table.name}.{col}"
             total = float(sum(cells))
-            if _is_wall_column(col):
-                fp.wall[f"{key}:sum"] = total
-                continue
             fp.sim[f"{key}:sum"] = total
             fp.sim[f"{key}:mean"] = total / len(cells)
             lowered = col.lower()
@@ -136,5 +113,4 @@ def fingerprint_result(result: "ExperimentResult") -> Fingerprint:
                     1e-6 if lowered.endswith("_us") else 1.0)
                 sim_time_total += total * scale
     fp.sim["sim_time_total_s"] = sim_time_total
-    fp.wall["runtime_s"] = float(result.runtime_s)
     return fp

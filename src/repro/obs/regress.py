@@ -8,14 +8,12 @@ figures, so this module makes the reproduction self-watching:
   of records (fingerprint + git sha + timestamp).
 * :func:`compare_fingerprints` diffs a fresh fingerprint against the
   recorded baseline under per-metric :class:`Tolerance` bands — exact
-  (float-tolerance) for sim-deterministic values, percentage bands for
-  wall-clock values (opt-in).
+  (float-tolerance), since every fingerprint value is a simulated output.
 * :func:`suspect_modules` names the first commit-visible suspect: files
   changed since the baseline's git sha, intersected with the ``repro``
   modules actually loaded while the experiment ran.
-* :func:`measure_disabled_overhead` is the shared "<2% when disabled"
-  measurement used by both ``repro bench --check`` and the standalone
-  overhead benchmark.
+* :func:`measure_disabled_overhead` is the "<2% when disabled"
+  measurement ``repro bench --check`` gates on.
 
 ``repro bench --record / --check / --trend`` is the CLI surface.
 """
@@ -57,13 +55,11 @@ class Tolerance:
     """Per-metric drift bands.
 
     Sim-derived values are deterministic replays, so the default band is
-    float noise only; wall-clock values get a generous percentage band and
-    only gate when ``check_wall`` is enabled in the comparison.
+    float noise only.
     """
 
     sim_rel: float = 1e-9
     sim_abs: float = 1e-12
-    wall_rel: float = 0.5
     overrides: dict[str, float] = field(default_factory=dict)
     """Metric-name substring → relative tolerance, overriding the default
     band for matching sim metrics (e.g. ``{"imbalance": 1e-6}``)."""
@@ -81,7 +77,7 @@ class Drift:
 
     exp_id: str
     metric: str
-    kind: str  # "sim" | "wall" | "digest" | "structure"
+    kind: str  # "sim" | "digest" | "structure"
     baseline: Any
     current: Any
     suspect: str | None = None
@@ -101,7 +97,6 @@ def compare_fingerprints(
     baseline: Fingerprint,
     current: Fingerprint,
     tolerance: Tolerance | None = None,
-    check_wall: bool = False,
 ) -> list[Drift]:
     """All drifts of ``current`` against ``baseline`` (empty = clean)."""
     tol = tolerance or Tolerance()
@@ -134,14 +129,6 @@ def compare_fingerprints(
         if cur_d is not None and cur_d != digest:
             drifts.append(Drift(exp_id, f"table {name!r} row digest",
                                 "digest", digest[:12], cur_d[:12]))
-
-    if check_wall:
-        for metric, base_v in baseline.wall.items():
-            cur_v = current.wall.get(metric)
-            if cur_v is None or base_v <= 0:
-                continue
-            if abs(cur_v - base_v) / base_v > tol.wall_rel:
-                drifts.append(Drift(exp_id, metric, "wall", base_v, cur_v))
     return drifts
 
 
@@ -167,7 +154,7 @@ class BaselineStore:
 
     Each file holds ``{"exp_id", "records": [...]}`` where a record is
     ``{"recorded_at", "git_sha", "note", "fingerprint"}``; the *latest*
-    record is the gating baseline, the whole list is the perf trajectory
+    record is the gating baseline, the whole list is the trajectory
     charted by ``repro bench --trend``.
     """
 

@@ -15,9 +15,9 @@ experiments out across worker processes.  The determinism contract:
   does not touch multiprocessing at all and is the exact historical
   serial loop.
 * **Scheduling only affects wall time.**  Submission order is a
-  longest-first heuristic fed by the recorded wall metrics in
-  ``BENCH_<figure>.json`` (when present) so the slowest figure does not
-  become the tail of the pool; it cannot affect results, only speedup.
+  longest-first heuristic fed by a static table of host-ledger runtimes
+  (``_RUNTIME_SEED_S``) so the slowest figure does not become the tail
+  of the pool; it cannot affect results, only speedup.
 
 Workers inherit ``os.environ`` (fork or spawn), so escape hatches such
 as ``REPRO_NO_VECTORIZE`` / ``REPRO_NO_STEPCACHE`` exported by the CLI
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import pathlib
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterator, Sequence
 
@@ -61,49 +60,37 @@ def _worker_run(exp_id: str) -> ExperimentResult:
     return run_experiment(exp_id)
 
 
-#: approximate wall runtimes (seconds) for experiments that dominate the
-#: pool tail, used when no ``BENCH_<figure>.json`` baseline has been
-#: recorded yet (fresh clone, newly added figure).  Without a hint a
-#: first run submits in input order and the slowest figure can land
-#: last, serializing the pool; the values only need the right ordering,
-#: not precision.  Recorded baselines always win over this table.
+#: host runtimes (seconds) of the experiments that take more than ~0.1 s,
+#: taken once from a ``hostledger/ledger.py --out`` record (its
+#: ``op.<id>.wall_s`` values, scaled to the ledger's reference host).
+#: Without a hint the slowest figure can land last and serialize the
+#: pool; the values only need the right ordering, not precision.
 _RUNTIME_SEED_S: dict[str, float] = {
-    "ext_fleet_capacity": 3.1,
-    "ext_fleet_diurnal": 2.1,
-    "ext_fleet_policy": 2.0,
+    "fig15": 3.21,
+    "ext_slo": 0.57,
+    "ablation_ep_imbalance": 0.51,
+    "ext_fleet_policy": 0.43,
+    "ext_placement": 0.39,
+    "ext_fleet_diurnal": 0.33,
+    "ext_fleet_capacity": 0.27,
+    "ext_serving_load": 0.18,
+    "ext_offload": 0.13,
 }
 
 
-def _recorded_runtime(exp_id: str, root: pathlib.Path) -> float:
-    """Last recorded wall runtime for ``exp_id``, falling back to the
-    static seed table and then 0.0 for unknown experiments."""
-    try:
-        from repro.obs.regress import BaselineStore
-
-        fp = BaselineStore(root).latest_fingerprint(exp_id)
-        if fp is not None:
-            return float(fp.wall.get("runtime_s", 0.0))
-    except Exception:  # noqa: BLE001 - scheduling hint only, never fatal
-        pass
-    return _RUNTIME_SEED_S.get(exp_id, 0.0)
-
-
-def _submission_order(exp_ids: Sequence[str],
-                      baseline_dir: str | os.PathLike | None) -> list[str]:
+def _submission_order(exp_ids: Sequence[str]) -> list[str]:
     """Longest-first submission keeps the pool packed; ties (and figures
-    without a recorded baseline) keep input order.  Purely a wall-clock
-    heuristic — the merge order is always the input order."""
-    root = pathlib.Path(baseline_dir) if baseline_dir is not None else pathlib.Path(".")
+    without an entry in ``_RUNTIME_SEED_S``) keep input order.  Purely a
+    wall-clock heuristic — the merge order is always the input order."""
     index = {eid: i for i, eid in enumerate(exp_ids)}
-    return sorted(exp_ids,
-                  key=lambda eid: (-_recorded_runtime(eid, root), index[eid]))
+    return sorted(exp_ids, key=lambda eid: (-_RUNTIME_SEED_S.get(eid, 0.0),
+                                            index[eid]))
 
 
 def iter_experiments(
     exp_ids: Sequence[str],
     jobs: int = 1,
     return_exceptions: bool = False,
-    baseline_dir: str | os.PathLike | None = None,
 ) -> Iterator[tuple[str, "ExperimentResult | Exception"]]:
     """Run experiments, yielding ``(exp_id, outcome)`` in input order.
 
@@ -129,7 +116,7 @@ def iter_experiments(
     with ProcessPoolExecutor(max_workers=min(jobs, len(exp_ids)),
                              mp_context=ctx) as pool:
         futures = {exp_id: pool.submit(_worker_run, exp_id)
-                   for exp_id in _submission_order(exp_ids, baseline_dir)}
+                   for exp_id in _submission_order(exp_ids)}
         for exp_id in exp_ids:  # fixed merge order
             try:
                 yield exp_id, futures[exp_id].result()
@@ -143,10 +130,8 @@ def run_experiments(
     exp_ids: Sequence[str],
     jobs: int = 1,
     return_exceptions: bool = False,
-    baseline_dir: str | os.PathLike | None = None,
 ) -> list["ExperimentResult | Exception"]:
     """:func:`iter_experiments`, gathered into an input-ordered list."""
     return [outcome for _, outcome in
             iter_experiments(exp_ids, jobs=jobs,
-                             return_exceptions=return_exceptions,
-                             baseline_dir=baseline_dir)]
+                             return_exceptions=return_exceptions)]

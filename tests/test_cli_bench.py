@@ -71,6 +71,9 @@ class TestBenchRecordCheck:
                       str(baseline_dir)) == 0
         out = capsys.readouterr().out
         assert FIG in out and "sim_time_total_s" in out
+        # host time is the ledger's business: no runtime column, no suite
+        # wall-clock section
+        assert "runtime_s" not in out and "Suite wall clock" not in out
 
 
 class TestRooflinePerturbation:

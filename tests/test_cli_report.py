@@ -1,8 +1,8 @@
-"""CLI tests: ``repro report`` and the trend wall-clock section."""
+"""CLI tests: ``repro report``, and ``repro bench --trend`` on a committed
+baseline (no wall-clock section)."""
 
 from __future__ import annotations
 
-import json
 import shutil
 import pathlib
 
@@ -62,15 +62,6 @@ class TestReportCommand:
 
 
 class TestTrendWallclock:
-    def test_trend_includes_suite_wall_clock_section(self, capsys, tmp_path):
-        shutil.copy(ROOT / "BENCH_fig5.json", tmp_path)
-        shutil.copy(ROOT / "BENCH_wallclock.json", tmp_path)
-        assert main(["bench", "--trend", "--figs", "fig5",
-                     "--dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "## Suite wall clock" in out
-        assert "speedup vs serial baseline" in out
-
     def test_trend_omits_section_without_wallclock_records(self, capsys,
                                                            tmp_path):
         shutil.copy(ROOT / "BENCH_fig5.json", tmp_path)

@@ -4,8 +4,7 @@ Two layers, matching the two reproducibility gates the repo ships:
 
 * **experiment fingerprints** — running a registered experiment twice in
   one process must yield identical sim metrics, table digests, and
-  structure (wall metrics are excluded: they measure the machine, not
-  the model, and legitimately vary between runs).
+  structure (the host runtime never reaches a fingerprint).
 * **chaos digests** — a fault-injected serving run replayed with the
   same workload seed and fault seed must be bit-identical down to the
   event log (``run_digest`` hashes every float via ``float.hex``).
@@ -29,24 +28,17 @@ from repro.obs.fingerprint import fingerprint_result
 EXPERIMENTS = ("fig5", "ext_resilience", "ext_fleet_policy")
 
 
-def _gated_view(result) -> dict:
-    """Fingerprint dict minus wall-clock metrics (machine-dependent)."""
-    fp = fingerprint_result(result).to_dict()
-    fp.pop("wall", None)
-    return fp
-
-
 @pytest.mark.parametrize("exp_id", EXPERIMENTS)
 def test_experiment_fingerprint_is_call_stable(exp_id):
-    first = _gated_view(run_experiment(exp_id))
-    second = _gated_view(run_experiment(exp_id))
+    first = fingerprint_result(run_experiment(exp_id)).to_dict()
+    second = fingerprint_result(run_experiment(exp_id)).to_dict()
     assert first == second
 
 
 @pytest.mark.parametrize("exp_id", EXPERIMENTS)
 def test_experiment_fingerprint_has_gateable_content(exp_id):
     """An empty fingerprint would make the identity test vacuous."""
-    fp = _gated_view(run_experiment(exp_id))
+    fp = fingerprint_result(run_experiment(exp_id)).to_dict()
     assert fp["sim"]
     assert fp["digests"]
     assert all(info["rows"] > 0 for info in fp["structure"].values())

@@ -18,11 +18,10 @@ from repro.obs.regress import (
 )
 
 
-def _fp(sim=None, wall=None, digests=None, structure=None) -> Fingerprint:
+def _fp(sim=None, digests=None, structure=None) -> Fingerprint:
     return Fingerprint(
         exp_id="figX",
         sim=dict({"m": 1.0} if sim is None else sim),
-        wall=dict({"runtime_s": 0.5} if wall is None else wall),
         digests=dict({"t": "a" * 64} if digests is None else digests),
         structure=dict({"t": {"rows": 2, "columns": ["a"]}}
                        if structure is None else structure),
@@ -55,23 +54,6 @@ class TestCompare:
     def test_missing_sim_metric(self):
         drifts = compare_fingerprints(_fp(sim={"m": 1.0}), _fp(sim={}))
         assert drifts and drifts[0].current == "missing"
-
-    def test_wall_ignored_by_default(self):
-        drifts = compare_fingerprints(_fp(wall={"runtime_s": 0.1}),
-                                      _fp(wall={"runtime_s": 99.0}))
-        assert drifts == []
-
-    def test_wall_gated_on_request(self):
-        drifts = compare_fingerprints(_fp(wall={"runtime_s": 0.1}),
-                                      _fp(wall={"runtime_s": 99.0}),
-                                      check_wall=True)
-        assert [d.kind for d in drifts] == ["wall"]
-
-    def test_wall_band_is_loose(self):
-        drifts = compare_fingerprints(_fp(wall={"runtime_s": 1.0}),
-                                      _fp(wall={"runtime_s": 1.3}),
-                                      check_wall=True)
-        assert drifts == []
 
     def test_digest_drift(self):
         drifts = compare_fingerprints(_fp(digests={"t": "a" * 64}),

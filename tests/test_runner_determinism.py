@@ -2,7 +2,6 @@
 
 The contract: for any ``--jobs`` value, the merged result stream — and
 everything derived from it (fingerprints, table digests) — is byte-stable.
-Wall metrics are excluded; they are the only thing allowed to change.
 """
 
 from __future__ import annotations
@@ -19,10 +18,8 @@ from repro.runner import default_jobs, iter_experiments, run_experiments
 REPRESENTATIVE = ["fig5", "table1", "ext_resilience", "ext_fleet_policy"]
 
 
-def _gated_fingerprint(result: ExperimentResult) -> str:
-    data = result.fingerprint().to_dict()
-    data.pop("wall")  # wall clock legitimately differs between runs
-    return json.dumps(data, sort_keys=True)
+def _fingerprint(result: ExperimentResult) -> str:
+    return json.dumps(result.fingerprint().to_dict(), sort_keys=True)
 
 
 class TestByteStability:
@@ -30,7 +27,7 @@ class TestByteStability:
         serial = run_experiments(REPRESENTATIVE, jobs=1)
         pooled = run_experiments(REPRESENTATIVE, jobs=4)
         for a, b in zip(serial, pooled):
-            assert _gated_fingerprint(a) == _gated_fingerprint(b)
+            assert _fingerprint(a) == _fingerprint(b)
 
     def test_chaos_replay_identical_across_processes(self):
         from concurrent.futures import ProcessPoolExecutor
@@ -70,46 +67,63 @@ class TestMergeSemantics:
 
 
 class TestSubmissionOrder:
-    """The longest-first heuristic must have a sane cold-start story:
-    experiments with no recorded baseline fall back to the static
-    ``_RUNTIME_SEED_S`` table, and unknown ids to 0.0 — never an error,
-    never a result change (submission order is wall-clock only)."""
+    """The longest-first heuristic reads one static table of host-ledger
+    runtimes: no file, no recorded baseline.  Unknown ids sort last —
+    never an error, never a result change (submission order is wall-clock
+    only)."""
 
-    def test_seed_table_covers_unrecorded_fleet_experiments(self, tmp_path):
-        from repro.runner import _RUNTIME_SEED_S, _recorded_runtime
+    def test_seed_table_covers_unrecorded_fleet_experiments(self):
+        from repro.core.registry import list_experiments
+        from repro.runner import _RUNTIME_SEED_S
 
-        # tmp_path holds no BENCH_*.json: only the seed table can answer
-        for exp_id, seconds in _RUNTIME_SEED_S.items():
-            assert _recorded_runtime(exp_id, tmp_path) == seconds
+        assert set(_RUNTIME_SEED_S) <= set(list_experiments())
+        for exp_id in ("ext_fleet_capacity", "ext_fleet_diurnal",
+                       "ext_fleet_policy"):
+            assert _RUNTIME_SEED_S[exp_id] > 0.0
 
-    def test_unknown_experiment_falls_back_to_zero(self, tmp_path):
-        from repro.runner import _recorded_runtime
-
-        assert _recorded_runtime("no_such_experiment", tmp_path) == 0.0
-
-    def test_recorded_baseline_wins_over_seed_table(self):
-        import pathlib
-
-        from repro.runner import _RUNTIME_SEED_S, _recorded_runtime
-
-        root = pathlib.Path(__file__).resolve().parents[1]
-        measured = _recorded_runtime("ext_fleet_policy", root)
-        assert measured > 0.0
-        assert measured != _RUNTIME_SEED_S["ext_fleet_policy"]
-
-    def test_cold_start_submits_seeded_experiments_first(self, tmp_path):
+    def test_unknown_experiment_falls_back_to_zero(self):
         from repro.runner import _submission_order
 
-        ids = ["fig5", "ext_fleet_policy", "ext_fleet_capacity"]
-        order = _submission_order(ids, baseline_dir=tmp_path)
-        # capacity (3.1 s) > policy (2.0 s) > fig5 (no hint, input order)
-        assert order == ["ext_fleet_capacity", "ext_fleet_policy", "fig5"]
+        ids = ["no_such_experiment", "fig15"]
+        assert _submission_order(ids) == ["fig15", "no_such_experiment"]
 
-    def test_ties_keep_input_order(self, tmp_path):
+    def test_cold_start_submits_seeded_experiments_first(self):
+        from repro.runner import _submission_order
+
+        ids = ["fig5", "ext_serving_load", "fig15"]
+        # fig15 (3.2 s) > ext_serving_load (0.2 s) > fig5 (no entry)
+        assert _submission_order(ids) == ["fig15", "ext_serving_load",
+                                          "fig5"]
+
+    def test_order_reads_no_file(self, tmp_path, monkeypatch):
+        import builtins
+        import pathlib
+
+        from repro.runner import _submission_order
+
+        touched = []
+
+        def spy(name, real):
+            def wrapper(*args, **kwargs):
+                touched.append((name, args[:1]))
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.chdir(tmp_path)  # an empty cwd: no BENCH_*.json
+        monkeypatch.setattr(builtins, "open", spy("open", builtins.open))
+        for name in ("exists", "glob", "open", "read_text", "stat"):
+            monkeypatch.setattr(pathlib.Path, name,
+                                spy(name, getattr(pathlib.Path, name)))
+        order = _submission_order(["ext_serving_load", "fig15"])
+        monkeypatch.undo()
+        assert touched == []
+        assert order == ["fig15", "ext_serving_load"]
+
+    def test_ties_keep_input_order(self):
         from repro.runner import _submission_order
 
         ids = ["table1", "fig5"]  # both unhinted -> both 0.0
-        assert _submission_order(ids, baseline_dir=tmp_path) == ids
+        assert _submission_order(ids) == ids
 
 
 class TestDefaultJobs:
