@@ -4,9 +4,9 @@ The whole reproduction is gated on bit-identical replays (fingerprint
 baselines, chaos ``--smoke``), which only holds if simulated results never
 observe the host: no wall clocks, no unseeded RNG, no hash-order
 iteration.  The *wall channel* — the span tracer's wall clock, the
-regression store's timestamps/overhead probe, and the parallel runner's
-scheduling — is explicitly allowed to read the host; everything else in
-``repro`` must not.
+regression store's timestamps/overhead probe, and the experiment's
+``runtime_s`` stamp — is explicitly allowed to read the host; everything
+else in ``repro`` must not.
 """
 
 from __future__ import annotations
@@ -28,14 +28,14 @@ from repro.lint.core import (
 __all__ = ["WallClockRule", "UnseededRngRule", "SetIterationRule",
            "iter_wall_hits", "iter_rng_hits", "iter_set_order_hits"]
 
-#: the wall channel + runner: code whose *job* is to observe the host.
-#: Everything here is excluded from sim-determinism checks by design —
-#: wall readings feed only the fingerprint ``wall`` section, never tables.
+#: the wall channel: code whose *job* is to observe the host.  Everything
+#: here is excluded from sim-determinism checks by design — its readings
+#: feed wall-clock trace spans, baseline timestamps, the overhead probe
+#: and the printed ``runtime_s``, never a table or a fingerprint.
 WALL_CHANNEL = (
     "src/repro/obs/trace.py",     # wall_span reads perf_counter
     "src/repro/obs/regress.py",   # recorded_at stamps + overhead probe
-    "src/repro/runner.py",        # worker scheduling off recorded runtimes
-    "src/repro/core/experiment.py",  # runtime_s stamping (wall channel)
+    "src/repro/core/experiment.py",  # runtime_s stamping
 )
 
 _WALL_CALLS = {

@@ -14,9 +14,9 @@ These rules close that hole over the call graph:
   (chaos/fleet digests replay them), the fleet simulator and digest
   helpers, and chaos replay itself;
 * **sanitizers** — the declared wall-channel modules (``obs.trace``,
-  ``obs.regress``, ``runner``, ``core.experiment``): their wall readings
-  feed only the fingerprint ``wall`` section, so taint neither
-  originates in nor propagates through them.
+  ``obs.regress``, ``core.experiment``): their wall readings never reach
+  a table or a fingerprint, so taint neither originates in nor
+  propagates through them.
 
 A function is tainted when it contains a source or calls a tainted
 function; a tainted root is a violation, reported at the source line

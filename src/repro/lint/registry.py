@@ -26,10 +26,6 @@ __all__ = ["registered_experiment_ids", "bench_baseline_ids",
 _EXPERIMENTS_DIR = "src/repro/experiments/"
 _CLI_PATH = "src/repro/core/cli.py"
 
-#: baselines with no experiment behind them, by design (the suite-timing
-#: pseudo-baseline recorded by benchmarks/bench_wallclock.py)
-PSEUDO_BASELINES = frozenset({"wallclock"})
-
 #: experiment families with a dedicated design doc: every registered id
 #: with the prefix must be mentioned in the doc, so the doc cannot
 #: silently fall behind the registry (REG005)
@@ -110,13 +106,11 @@ class StaleBaselineRule(ProjectRule):
     def check_project(self, project: LintProject) -> Iterator[Violation]:
         registered = registered_experiment_ids(project)
         for bid, fname in sorted(bench_baseline_ids(project).items()):
-            if bid not in registered and bid not in PSEUDO_BASELINES:
+            if bid not in registered:
                 yield Violation(
                     rule=self.id, severity=self.severity, path=fname,
                     line=1, col=0, snippet=bid,
-                    message=(f"{fname} matches no registered experiment "
-                             f"(known pseudo-baselines: "
-                             f"{', '.join(sorted(PSEUDO_BASELINES))}); "
+                    message=(f"{fname} matches no registered experiment; "
                              f"delete it or restore the experiment"))
 
 

@@ -201,14 +201,14 @@ class TestDeterminismTaint:
     def test_wall_channel_sanitizes_source_and_path(self, tmp_path):
         project = make_project(tmp_path, {
             # source inside a wall-channel module: by-design, not taint
-            "src/repro/runner.py": """
+            "src/repro/obs/trace.py": """
                 import time
 
                 def wall_now():
                     return time.time()
             """,
             "src/repro/fleet/invariants.py": """
-                from repro.runner import wall_now
+                from repro.obs.trace import wall_now
 
                 def fleet_digest():
                     return wall_now()

@@ -4,11 +4,7 @@ import pathlib
 import textwrap
 
 from repro.lint.core import LintProject, get_rule
-from repro.lint.registry import (
-    PSEUDO_BASELINES,
-    bench_baseline_ids,
-    registered_experiment_ids,
-)
+from repro.lint.registry import bench_baseline_ids, registered_experiment_ids
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -87,8 +83,8 @@ class TestParsers:
         assert len(walked) == 1  # one experiments file, walked once
 
     def test_bench_files_globbed(self, tmp_path):
-        project = _project(tmp_path, baselines=("figx", "wallclock"))
-        assert set(bench_baseline_ids(project)) == {"figx", "wallclock"}
+        project = _project(tmp_path, baselines=("figx", "ghost"))
+        assert set(bench_baseline_ids(project)) == {"figx", "ghost"}
 
 
 class TestBaselineCoverage:
@@ -107,11 +103,6 @@ class TestStaleBaseline:
         vs = _run("REG002", _project(tmp_path, baselines=("figx", "ghost")))
         assert len(vs) == 1
         assert vs[0].path == "BENCH_ghost.json"
-
-    def test_pseudo_baselines_exempt(self, tmp_path):
-        project = _project(tmp_path,
-                           baselines=("figx",) + tuple(PSEUDO_BASELINES))
-        assert _run("REG002", project) == []
 
 
 class TestExperimentsDoc:
