@@ -38,6 +38,11 @@ WALL_CHANNEL = (
     "src/repro/core/experiment.py",  # runtime_s stamping
 )
 
+#: the wall channel as dotted names under ``repro`` (for messages)
+_WALL_CHANNEL_NAMES = " / ".join(
+    rel.removeprefix("src/repro/").removesuffix(".py").replace("/", ".")
+    for rel in WALL_CHANNEL)
+
 _WALL_CALLS = {
     "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
     "time.perf_counter", "time.perf_counter_ns", "time.process_time",
@@ -127,7 +132,7 @@ class WallClockRule(Rule):
                 self, node,
                 f"{name}() reads the host clock; simulated code must "
                 f"use the simulated clock (wall channel is allowlisted: "
-                f"obs.trace / obs.regress / runner / core.experiment)",
+                f"{_WALL_CHANNEL_NAMES})",
             )
 
 

@@ -180,26 +180,97 @@ def ep_dispatch_time(
     return 2.0 * all_to_all_time(vol, ep, hw)
 
 
+_FLOYD_MAX_N = 10000
+"""Largest population for which numpy's ``Generator.choice(n, k,
+replace=False)`` is known to run Floyd's algorithm (above it, it may take a
+tail-shuffle path instead)."""
+
+
+def _choice_bulk(
+    rng: np.random.Generator, n: int, k: int, rows: int,
+) -> np.ndarray | None:
+    """Replay ``rows`` consecutive ``rng.choice(n, k, replace=False)`` calls
+    in one vectorised pass, from the same random stream.
+
+    Each call is Floyd's algorithm — draw ``v`` in ``[0, j]`` for ``j = n-k
+    … n-1`` and take ``j`` instead when ``v`` is already picked — followed
+    by a Fisher–Yates shuffle of the picks, drawing in ``[0, i]`` for ``i =
+    k-1 … 1``.  Every bounded draw is Lemire's method on one
+    ``next_uint32`` word (a ``[0, 0]`` draw takes none), so the words of
+    all calls are fetched at once.  The shuffle's words are consumed but
+    unused: it only reorders picks.
+
+    Returns the ``(rows, k)`` picks in draw order (each row is the set
+    ``choice`` returns, unshuffled), leaving ``rng`` exactly where the
+    scalar calls would.  Returns ``None`` with ``rng`` untouched when the
+    replay cannot be exact: ``n`` beyond :data:`_FLOYD_MAX_N`, ``k``
+    outside ``[1, n]``, or a word Lemire's method would reject (and
+    redraw).
+    """
+    if n > _FLOYD_MAX_N or not 1 <= k <= n:
+        return None
+    # one word per draw in [0, bound - 1]: Floyd's, then the shuffle's
+    bounds = [j + 1 for j in range(n - k, n) if j > 0] + list(range(k, 1, -1))
+    snapshot = rng.bit_generator.state
+    words = rng.integers(0, 1 << 32, size=(rows, len(bounds)),
+                         dtype=np.uint32)
+    # Lemire rejects a word when the low half of word * bound (uint32
+    # arithmetic wraps to it) is below 2**32 % bound
+    thresholds = np.array([(1 << 32) % b for b in bounds], dtype=np.uint32)
+    if (words * np.array(bounds, dtype=np.uint32) < thresholds).any():
+        rng.bit_generator.state = snapshot
+        return None
+    picks = np.zeros((rows, k), dtype=np.uint16)  # n <= 10000 fits
+    for m, j in enumerate(range(n - k, n)):
+        if j == 0:
+            continue  # k == n: the first pick is 0
+        v = words[:, m - (k == n)] * np.uint64(j + 1)
+        v >>= np.uint64(32)
+        v[(picks[:, :m] == v[:, None]).any(axis=1)] = j
+        picks[:, m] = v
+    return picks
+
+
+def _choice_rows(
+    rng: np.random.Generator, n: int, k: int, rows: int,
+) -> np.ndarray:
+    """``rows`` draws of ``k`` distinct values from ``range(n)``: the sets
+    ``rows`` scalar ``rng.choice(n, k, replace=False)`` calls make, in
+    order, with ``rng`` left where they leave it (the order within a row
+    may differ).  Bulk when :func:`_choice_bulk` can replay the stream
+    exactly, else the per-row loop."""
+    picks = _choice_bulk(rng, n, k, rows)
+    if picks is None:
+        picks = np.array([rng.choice(n, size=k, replace=False)
+                          for _ in range(rows)])
+    return picks
+
+
 def simulate_ep_imbalance(
     moe: MoEConfig, ep: int, num_tokens: int, num_trials: int = 256,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
     """Monte-Carlo estimate of the EP max/mean load factor under uniform
     routing; returns ``(simulated_mean, analytic)`` so callers can compare
-    against :func:`expected_group_imbalance` (ablation bench)."""
+    against :func:`expected_group_imbalance` (ablation bench).
+
+    Each token picks ``top_k`` distinct experts uniformly, drawn for all
+    trials in one pass (:func:`_choice_rows`): the estimate and the final
+    state of ``rng`` are bit-identical to one ``rng.choice`` per token.
+    """
     if ep < 1:
         raise ValueError("ep must be >= 1")
+    if num_tokens < 1 or num_trials < 1:
+        raise ValueError("num_tokens and num_trials must be >= 1")
     placement = round_robin_placement(moe.num_experts, ep)
     dev = np.asarray(placement.device_of_expert)
     rng = rng or np.random.default_rng(0)
-    ratios = np.empty(num_trials)
-    for t in range(num_trials):
-        # each token picks top_k distinct experts uniformly
-        picks = np.array(
-            [rng.choice(moe.num_experts, size=moe.top_k, replace=False)
-             for _ in range(num_tokens)]
-        ).ravel()
-        loads = np.bincount(dev[picks], minlength=ep)
-        ratios[t] = loads.max() / loads.mean()
+    picks = _choice_rows(rng, moe.num_experts, moe.top_k,
+                         num_trials * num_tokens)
+    slots = dev[picks].reshape(num_trials, -1)
+    slots += np.arange(num_trials)[:, None] * ep
+    loads = np.bincount(slots.ravel(), minlength=num_trials * ep)
+    loads = loads.reshape(num_trials, ep)
+    ratios = loads.max(axis=1) / loads.mean(axis=1)
     analytic = expected_group_imbalance(ep, num_tokens * moe.top_k)
     return float(ratios.mean()), analytic

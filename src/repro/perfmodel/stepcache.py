@@ -80,6 +80,17 @@ class CacheStats:
         }
 
 
+_FROZEN: dict[int, tuple[object, Hashable]] = {}
+"""``id(config) -> (config, surrogate)`` for frozen dataclass instances, so
+a config shared by many :class:`StepModel` constructions (a sweep builds
+hundreds from one zoo model) is walked once.  Each entry holds its object,
+so the id cannot be reused while the entry lives."""
+
+_FROZEN_MAX = 4096
+"""Entry bound; crossing it drops the whole memo (surrogates are recomputed
+equal, so this costs time only)."""
+
+
 def freeze(value: object) -> Hashable:
     """A hashable surrogate for a (possibly dict-bearing) config object.
 
@@ -87,15 +98,26 @@ def freeze(value: object) -> Hashable:
     fields (``peak_tflops``) that defeat hashing; this walks dataclass
     fields, mappings, and sequences, converting them to sorted tuples.
     Equal configs map to equal surrogates, so cache identity is preserved.
+    A frozen dataclass's surrogate is memoized per object (:data:`_FROZEN`):
+    its fields cannot be rebound, and config dicts are never edited in
+    place.
     """
     import dataclasses
 
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return (
+        hit = _FROZEN.get(id(value))
+        if hit is not None:
+            return hit[1]
+        frozen = (
             type(value).__qualname__,
             tuple(freeze(getattr(value, f.name))
                   for f in dataclasses.fields(value)),
         )
+        if type(value).__dataclass_params__.frozen:
+            if len(_FROZEN) >= _FROZEN_MAX:
+                _FROZEN.clear()
+            _FROZEN[id(value)] = (value, frozen)
+        return frozen
     if isinstance(value, dict):
         return tuple(sorted((k, freeze(v)) for k, v in value.items()))
     if isinstance(value, (list, tuple)):

@@ -68,7 +68,6 @@ def _worker_run(exp_id: str) -> ExperimentResult:
 _RUNTIME_SEED_S: dict[str, float] = {
     "fig15": 3.21,
     "ext_slo": 0.57,
-    "ablation_ep_imbalance": 0.51,
     "ext_fleet_policy": 0.43,
     "ext_placement": 0.39,
     "ext_fleet_diurnal": 0.33,

@@ -55,6 +55,17 @@ class TestWallClock:
             assert _lint("DET001", text, rel=rel) == []
         assert _lint("DET001", text, rel="src/repro/serving/engine.py")
 
+    def test_message_names_the_wall_channel(self):
+        (v,) = _lint("DET001", """
+            import time
+
+            def f():
+                return time.perf_counter()
+        """)
+        assert v.message.endswith(
+            "(wall channel is allowlisted: "
+            "obs.trace / obs.regress / core.experiment)")
+
 
 class TestUnseededRng:
     def test_flags_unseeded_and_legacy(self):

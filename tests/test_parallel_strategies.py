@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
+from repro.core.results import ResultTable
 from repro.hardware.gpus import H100_SXM
 from repro.models.zoo import DEEPSEEK_V2_LITE, MIXTRAL_8X7B
+from repro.obs.fingerprint import _table_digest
 from repro.parallel.expert_parallel import (
+    _choice_bulk,
+    _choice_rows,
     ep_dispatch_time,
     ep_dispatch_volume,
     round_robin_placement,
@@ -123,6 +130,119 @@ class TestExpertParallel:
         small, _ = simulate_ep_imbalance(MIXTRAL_8X7B.moe, 4, 8, 64, rng)
         large, _ = simulate_ep_imbalance(MIXTRAL_8X7B.moe, 4, 512, 64, rng)
         assert large < small
+
+    @pytest.mark.parametrize("kwargs", [
+        {"num_tokens": 0}, {"num_tokens": -1},
+        {"num_trials": 0}, {"num_trials": -1},
+    ])
+    def test_empty_inputs_rejected(self, kwargs):
+        args = {"ep": 4, "num_tokens": 16, "num_trials": 8, **kwargs}
+        with pytest.raises(ValueError):
+            simulate_ep_imbalance(MIXTRAL_8X7B.moe, **args)
+
+    def test_ablation_cells_match_committed_fingerprint(self):
+        """The ablation's 9 cells, drawn in bulk, reproduce the committed
+        record (taken with one ``rng.choice`` per token) bit for bit."""
+        repo = pathlib.Path(__file__).resolve().parents[1]
+        record = json.loads(
+            (repo / "BENCH_ablation_ep_imbalance.json").read_text()
+        )["records"][-1]["fingerprint"]
+        table = ResultTable(
+            "imbalance factor",
+            ("ep", "tokens", "simulated", "analytic", "abs_error"),
+        )
+        rng = np.random.default_rng(3)
+        for ep in (2, 4, 8):
+            for tokens in (16, 64, 256):
+                sim, analytic = simulate_ep_imbalance(
+                    MIXTRAL_8X7B.moe, ep, tokens, num_trials=64, rng=rng
+                )
+                table.add(ep=ep, tokens=tokens, simulated=sim,
+                          analytic=analytic, abs_error=abs(sim - analytic))
+        assert _table_digest(table) == record["digests"]["imbalance factor"]
+        assert sum(table.column("simulated")) == (
+            record["sim"]["imbalance factor.simulated:sum"]
+        )
+        # the generator ends where 64,512 scalar choice calls leave it
+        assert rng.bit_generator.state["state"] == {
+            "state": 135120144626868417700391744056078514839,
+            "inc": 222003063171874261427395693950637096479,
+        }
+
+
+def _state(rng):
+    """The generator's full state with arrays as lists (MT19937 and Philox
+    keep arrays in it), so states compare with ``==``."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    return plain(rng.bit_generator.state)
+
+
+def _scalar_choices(rng, n, k, rows):
+    return np.array([rng.choice(n, size=k, replace=False)
+                     for _ in range(rows)])
+
+
+def _same_stream(make_rng, n, k, rows):
+    """Bulk and scalar draws from two equal generators: same picks per row
+    (as sets) and the same final state."""
+    bulk_rng, scalar_rng = make_rng(), make_rng()
+    bulk = _choice_rows(bulk_rng, n, k, rows)
+    scalar = _scalar_choices(scalar_rng, n, k, rows)
+    np.testing.assert_array_equal(np.sort(bulk, axis=1),
+                                  np.sort(scalar, axis=1))
+    assert _state(bulk_rng) == _state(scalar_rng)
+
+
+class TestBulkChoice:
+    """``_choice_rows`` against numpy's own ``Generator.choice``: this is
+    what catches a numpy release that changes how ``choice`` draws."""
+
+    GRID = [(8, 2), (64, 6), (16, 1), (160, 6), (60, 4), (7, 3), (256, 8),
+            (5, 5)]
+
+    @pytest.mark.parametrize("n,k", GRID)
+    @pytest.mark.parametrize("rows", [1, 3, 17])
+    def test_matches_choice_over_seeds(self, n, k, rows):
+        for seed in range(40):
+            _same_stream(lambda: np.random.default_rng(seed), n, k, rows)
+
+    @pytest.mark.parametrize("n,k", GRID)
+    def test_matches_choice_from_buffered_half_word(self, n, k):
+        def make_rng():
+            rng = np.random.default_rng(11)
+            rng.integers(7, dtype=np.uint32)  # PCG64 keeps the other half
+            assert rng.bit_generator.state["has_uint32"] == 1
+            return rng
+
+        _same_stream(make_rng, n, k, 17)
+
+    @pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.MT19937,
+                                        np.random.Philox])
+    @pytest.mark.parametrize("n,k", [(8, 2), (160, 6), (7, 3)])
+    def test_matches_choice_across_bit_generators(self, bitgen, n, k):
+        for seed in range(5):
+            _same_stream(lambda: np.random.Generator(bitgen(seed)), n, k, 17)
+
+    def test_large_population_falls_back(self):
+        rng = np.random.default_rng(0)
+        before = _state(rng)
+        assert _choice_bulk(rng, 10007, 3, 4) is None
+        assert _state(rng) == before
+        _same_stream(lambda: np.random.default_rng(0), 10007, 3, 4)
+
+    def test_lemire_rejection_falls_back(self):
+        # seed 322 draws, for bound 9973, a word Lemire's method rejects
+        # at row 86: choice redraws it, so only the scalar loop is exact
+        rng = np.random.default_rng(322)
+        before = _state(rng)
+        assert _choice_bulk(rng, 9973, 1, 100) is None
+        assert _state(rng) == before
+        assert _choice_bulk(np.random.default_rng(322), 9973, 1, 86) is not None
+        _same_stream(lambda: np.random.default_rng(322), 9973, 1, 100)
 
 
 class TestReplicatedPlacement:

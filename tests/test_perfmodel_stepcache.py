@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.hardware.gpus import H100_SXM
@@ -106,6 +108,28 @@ class TestCacheMechanics:
         key = stepcache.freeze(model)
         assert hash(key) == hash(stepcache.freeze(get_model("DeepSeek-V2-Lite")))
         assert hash(key) != hash(stepcache.freeze(get_model("Mixtral-8x7B")))
+
+    def test_freeze_memoized_per_object(self, fresh_cache):
+        model = get_model("OLMoE-1B-7B")
+        twin = dataclasses.replace(model)  # equal, not identical
+        assert twin is not model
+        assert stepcache.freeze(model) is stepcache.freeze(model)
+        assert stepcache.freeze(twin) == stepcache.freeze(model)
+        # the entry keeps its object alive, so its id is never reused
+        assert stepcache._FROZEN[id(model)][0] is model
+        assert (StepModel(twin, H100_SXM).setup_id
+                == StepModel(model, H100_SXM).setup_id)
+
+    def test_freeze_rewalks_mutable_dataclasses(self):
+        @dataclasses.dataclass
+        class Knob:
+            value: int
+
+        knob = Knob(1)
+        before = stepcache.freeze(knob)
+        knob.value = 2
+        assert stepcache.freeze(knob) != before
+        assert id(knob) not in stepcache._FROZEN
 
 
 class TestEngineEquivalence:
