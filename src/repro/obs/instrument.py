@@ -78,14 +78,31 @@ class Instrumentation:
         return not (self.tracer.enabled or self.reqtrace is not None
                     or self.routing is not None or self.cluster is not None)
 
+    @property
+    def needs_components(self) -> bool:
+        """Whether a hook reads an iteration's per-component breakdown:
+        an enabled span tracer (component spans) or cluster telemetry
+        (device lanes).  Otherwise the engine prices observed steps
+        through the same totals as unobserved ones (same bits, no
+        breakdown built)."""
+        return self.tracer.enabled or self.cluster is not None
+
+    _handles: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
+    """Metric handles :meth:`record_iterations` writes, keyed by KV op or
+    phase; they belong to ``_handles_of``, and a new registry drops them."""
+    _handles_of: MetricsRegistry | None = field(default=None, init=False,
+                                                repr=False, compare=False)
+
     def record_iterations(self, *, kv_op: str | None = None,
                           kv_ops: int = 1, kv_blocks: int = 0,
                           kv_utilization: float = 0.0,
                           phase: str | None = None, num_tokens: int = 0,
                           durations: Sequence[float] = ()) -> None:
         """Engine metrics for a run of iterations: the one place these
-        metric names are written, shared by ``PagedKVCache`` (one KV
-        operation), the scalar engine step (one iteration) and a decode
+        metric names are written, shared by ``PagedKVCache`` (one
+        allocate, ``append_slots`` or free, or one scheduler decode pass's
+        appends), the scalar engine step (one iteration) and a decode
         window (a batch commit).
 
         The KV part counts ``kv_ops`` operations of kind ``kv_op`` moving
@@ -98,36 +115,55 @@ class Instrumentation:
         call per operation.  Metrics are created in the order the scalar
         loop creates them (KV before iterations), because
         :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` is ordered by
-        insertion."""
+        insertion.  Handles are looked up once per registry and reused;
+        ``kv_blocks_total`` is still created by the first call that moves
+        a block."""
         metrics = self.metrics
+        handles = self._handles
+        if self._handles_of is not metrics:
+            handles.clear()
+            self._handles_of = metrics
         if kv_op is not None:
-            op = {"op": kv_op}
-            metrics.counter(
-                "kv_ops_total", "KV-cache block-manager operations",
-                labels=op,
-            ).inc(kv_ops)
+            kv = handles.get(kv_op)
+            if kv is None:
+                op = {"op": kv_op}
+                kv = handles[kv_op] = [
+                    metrics.counter(
+                        "kv_ops_total", "KV-cache block-manager operations",
+                        labels=op),
+                    None,
+                    None,
+                ]
+            kv[0].inc(kv_ops)
             if kv_blocks:
-                metrics.counter(
-                    "kv_blocks_total", "blocks moved by KV operations",
-                    labels=op,
-                ).inc(kv_blocks)
-            metrics.gauge(
-                "kv_utilization", "fraction of KV blocks in use"
-            ).set(kv_utilization)
+                if kv[1] is None:
+                    kv[1] = metrics.counter(
+                        "kv_blocks_total", "blocks moved by KV operations",
+                        labels={"op": kv_op})
+                kv[1].inc(kv_blocks)
+            if kv[2] is None:
+                kv[2] = metrics.gauge(
+                    "kv_utilization", "fraction of KV blocks in use")
+            kv[2].set(kv_utilization)
         if phase is not None:
-            labels = {"phase": phase}
+            step = handles.get(phase)
+            if step is None:
+                labels = {"phase": phase}
+                step = handles[phase] = (
+                    metrics.counter(
+                        "engine_iterations_total", "engine iterations",
+                        labels=labels),
+                    metrics.counter(
+                        "tokens_processed_total", "new tokens processed",
+                        labels=labels),
+                    metrics.histogram(
+                        "step_time_seconds", "simulated iteration duration",
+                        labels=labels).observe,
+                )
+            iterations, tokens, observe = step
             n = len(durations)
-            metrics.counter(
-                "engine_iterations_total", "engine iterations", labels=labels
-            ).inc(n)
-            metrics.counter(
-                "tokens_processed_total", "new tokens processed",
-                labels=labels,
-            ).inc(num_tokens * n)
-            observe = metrics.histogram(
-                "step_time_seconds", "simulated iteration duration",
-                labels=labels,
-            ).observe
+            iterations.inc(n)
+            tokens.inc(num_tokens * n)
             for duration_s in durations:
                 observe(duration_s)
 

@@ -380,9 +380,13 @@ class ServingEngine:
         decomposition (profiler spans), plus the perf-model step shape
         ``(num_tokens, batch, kv_len, attended_len)`` so cluster telemetry
         can re-derive link bytes and sparse/dense costs from the exact
-        step that advanced the clock.  The duration is computed through
-        the exact same perf-model calls either way, so enabling components
-        cannot perturb simulated results."""
+        step that advanced the clock.  ``step()`` asks for components only
+        when something reads them — an enabled span tracer, cluster
+        telemetry, or a fault injector that ``needs_components`` — so any
+        other observed step prices through :meth:`_step_total` exactly as
+        an unobserved one does.  A breakdown's total and the step totals
+        are the same bits, so enabling components cannot perturb
+        simulated results."""
         reqs = batch.requests
         if batch.phase == "prefill":
             # exact np.mean replay: the pairwise float64 sum of integer
@@ -504,41 +508,45 @@ class ServingEngine:
             self._admit_arrivals()
 
         obs = self._active_obs()
+        # spans only when tracing: a lean handle builds no span arguments
+        tracer = obs.tracer if obs is not None and obs.tracer.enabled \
+            else None
         if obs is not None:
             obs.now = self.clock
-            obs.tracer.begin("engine.step", self.clock, cat="engine",
-                             iteration=self.log.num_iterations)
-            obs.tracer.begin("scheduler.schedule", self.clock, cat="scheduler")
+        if tracer is not None:
+            tracer.begin("engine.step", self.clock, cat="engine",
+                         iteration=self.log.num_iterations)
+            tracer.begin("scheduler.schedule", self.clock, cat="scheduler")
         batch = self.scheduler.schedule()
-        if obs is not None:
-            obs.tracer.end(self.clock, phase=batch.phase,
-                           batch_size=batch.batch_size,
-                           num_tokens=batch.num_tokens,
-                           preempted=len(batch.preempted))
+        if tracer is not None:
+            tracer.end(self.clock, phase=batch.phase,
+                       batch_size=batch.batch_size,
+                       num_tokens=batch.num_tokens,
+                       preempted=len(batch.preempted))
         if batch.is_empty:
             if batch.preempted:
                 self.log.record(Event(
                     self.clock, EventType.PREEMPTION,
                     tuple(r.request_id for r in batch.preempted),
                 ))
-                if obs is not None:
-                    obs.tracer.end(self.clock, outcome="all_preempted")
+                if tracer is not None:
+                    tracer.end(self.clock, outcome="all_preempted")
                 return True
             if self._pending:
                 self.clock = self._pending[0].effective_arrival_time
-                if obs is not None:
-                    obs.tracer.end(self.clock, outcome="idle_until_arrival")
+                if tracer is not None:
+                    tracer.end(self.clock, outcome="idle_until_arrival")
                 return True
             if faults is not None and self._resolve_starvation(faults, obs):
                 return True
             raise RuntimeError("scheduler starved with no pending arrivals")
 
-        if obs is not None:
-            obs.tracer.begin("perfmodel.iteration_cost", self.clock,
-                             cat="perfmodel")
+        if tracer is not None:
+            tracer.begin("perfmodel.iteration_cost", self.clock,
+                         cat="perfmodel")
         duration_s, components, step_shape = self._iteration_cost(
             batch,
-            want_components=obs is not None
+            want_components=(obs is not None and obs.needs_components)
             or (faults is not None and faults.needs_components),
         )
         if faults is not None:
@@ -546,15 +554,16 @@ class ServingEngine:
             # the component breakdown (no-op while the cluster is healthy)
             duration_s = faults.adjust(duration_s, components)
         t_start = self.clock
-        if obs is not None:
-            obs.tracer.end(self.clock, phase=batch.phase, seconds=duration_s)
+        if tracer is not None:
+            tracer.end(self.clock, phase=batch.phase, seconds=duration_s)
         self.clock += duration_s
         if obs is not None:
             obs.now = self.clock
-            obs.tracer.begin(f"engine.{batch.phase}", t_start, cat=batch.phase,
-                             batch_size=batch.batch_size,
-                             num_tokens=batch.num_tokens,
-                             kv_utilization=round(self.kv.utilization, 4))
+        if tracer is not None:
+            tracer.begin(f"engine.{batch.phase}", t_start, cat=batch.phase,
+                         batch_size=batch.batch_size,
+                         num_tokens=batch.num_tokens,
+                         kv_utilization=round(self.kv.utilization, 4))
             if components:
                 self._emit_component_spans(obs, batch.phase, components,
                                            t_start)
@@ -682,13 +691,14 @@ class ServingEngine:
     ) -> None:
         """Close the phase/step spans and update per-iteration metrics."""
         tracer = obs.tracer
-        tracer.end(self.clock)  # engine.<phase>
-        tracer.end(self.clock)  # engine.step
-        tracer.counter("kv_utilization", self.clock,
-                       {"utilization": self.kv.utilization})
-        tracer.counter("scheduler_queues", self.clock,
-                       {"running": self.scheduler.num_running,
-                        "waiting": len(self.scheduler.waiting)})
+        if tracer.enabled:
+            tracer.end(self.clock)  # engine.<phase>
+            tracer.end(self.clock)  # engine.step
+            tracer.counter("kv_utilization", self.clock,
+                           {"utilization": self.kv.utilization})
+            tracer.counter("scheduler_queues", self.clock,
+                           {"running": self.scheduler.num_running,
+                            "waiting": len(self.scheduler.waiting)})
         obs.record_iterations(phase=batch.phase, num_tokens=batch.num_tokens,
                               durations=(duration_s,))
         if obs.routing is not None:

@@ -53,8 +53,12 @@ class PagedKVCache:
         fault experiments, so the default path is untouched."""
         self.obs: Instrumentation | None = None
         """Optional observability handle (set by the owning engine); when
-        active, allocate/append/free emit spans at the simulated time the
-        handle mirrors and maintain the KV metrics."""
+        active, ``allocate``, ``append_slots`` and ``free`` each emit a
+        span at the simulated time the handle mirrors and meter the KV
+        metrics as one operation.  ``try_append_slot`` does neither: the
+        scheduler meters a decode pass's appends through
+        :meth:`observe_appends`, so the unobserved decode hot call pays
+        nothing for the hook."""
 
     def _observe(self, op: str, seq_id: int, blocks: int) -> None:
         obs = self.obs
@@ -64,6 +68,33 @@ class PagedKVCache:
         tracer.begin(f"kv.{op}", obs.now, cat="kv", seq_id=seq_id, blocks=blocks)
         tracer.end(obs.now)
         obs.record_iterations(kv_op=op, kv_blocks=blocks,
+                              kv_utilization=self.utilization)
+
+    def observe_appends(self, seq_ids: list[int], blocks: int) -> None:
+        """Meter a run of successful :meth:`try_append_slot` calls —
+        ``seq_ids`` in call order, ``blocks`` popped among them — as one
+        ``record_iterations`` commit: the same counter values, final
+        utilization and metric creation order as one ``append`` hook per
+        call, provided no other KV operation ran in between and an
+        allocation has already created ``kv_utilization`` (every sequence
+        is allocated before it grows).  An enabled span tracer still gets
+        one ``kv.append`` span per call."""
+        obs = self.obs
+        if not seq_ids or obs is None or not obs.active:
+            return
+        tracer = obs.tracer
+        if tracer.enabled:
+            tables = self._tables
+            block_size = self.block_size
+            for seq_id in seq_ids:
+                # no table holds a whole spare block, so a one-slot append
+                # popped one exactly when it filled that block's first slot
+                popped = int((tables[seq_id].num_tokens - 1) % block_size == 0)
+                tracer.begin("kv.append", obs.now, cat="kv", seq_id=seq_id,
+                             blocks=popped)
+                tracer.end(obs.now)
+        obs.record_iterations(kv_op="append", kv_ops=len(seq_ids),
+                              kv_blocks=blocks,
                               kv_utilization=self.utilization)
 
     # ------------------------------------------------------------------ #
@@ -196,20 +227,19 @@ class PagedKVCache:
         fused to one table lookup — the scheduler's per-sequence decode
         hot call.  Returns ``False`` (state untouched) instead of raising
         when growth would need a block the pool cannot provide; otherwise
-        grows the sequence by one slot and observes exactly as
-        ``append_slots`` would."""
+        grows the sequence by one slot.  Unlike ``append_slots`` it does
+        not observe: the caller meters its appends in bulk through
+        :meth:`observe_appends`."""
         table = self._tables.get(seq_id)
         if table is None:
             raise KeyError(f"sequence {seq_id} has no allocation")
         if len(table.blocks) * self.block_size - table.num_tokens >= 1:
             table.num_tokens += 1
-            self._observe("append", seq_id, 0)
             return True
         if self.available_blocks < 1:
             return False
         table.blocks.append(self._take_free_block())
         table.num_tokens += 1
-        self._observe("append", seq_id, 1)
         return True
 
     def append_block(self, table: BlockTable) -> None:

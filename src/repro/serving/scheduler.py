@@ -193,37 +193,58 @@ class Scheduler:
         return ScheduledBatch(phase="prefill", requests=batch, num_tokens=tokens)
 
     def _schedule_decode(self) -> ScheduledBatch:
-        preempted: list[Request] = []
         # grow each running sequence by one slot, preempting LIFO on pressure
+        kv = self.kv
+        obs = self.obs
+        metered = obs is not None and obs.active
         runnable: list[Request] = list(self.running)
         victims: list[Request] = []
-        for req in list(runnable):
+        idle: list[Request] = []  # visited without appending (preempted)
+        # the pass's appends are metered in bulk: runnable[start:] minus
+        # ``idle`` appended since the last commit, popping the blocks the
+        # pool lost since ``free_mark``.  The appends counted so far are
+        # committed before each preemption's free, so metrics see the KV
+        # operations in the order they ran.
+        start = 0
+        free_mark = kv.free_blocks if metered else 0
+        for req in runnable:
             if req in victims:
+                idle.append(req)
                 continue
-            appended = False
-            while not appended:
-                if self.kv.try_append_slot(req.request_id):
-                    appended = True
-                    break
+            while not kv.try_append_slot(req.request_id):
                 # free the most recently admitted other sequence; if none is
                 # left, this sequence itself yields (recompute later)
-                candidates = [r for r in runnable if r is not req and r not in victims]
-                victim = candidates[-1] if candidates else req
+                victim = next((r for r in reversed(runnable)
+                               if r is not req and r not in victims), req)
                 victims.append(victim)
+                if metered:
+                    pos = next(i for i, r in enumerate(runnable) if r is req)
+                    self._observe_appends(runnable[start:pos], idle, free_mark)
+                    start = pos
                 self._preempt(victim)
+                free_mark = kv.free_blocks
                 if victim is req:
+                    idle.append(req)
                     break
+        if metered:
+            self._observe_appends(runnable[start:], idle, free_mark)
         if victims:
-            for v in victims:
-                runnable.remove(v)
-                preempted.append(v)
             self.running = [r for r in self.running if r not in victims]
         return ScheduledBatch(
             phase="decode",
             requests=list(self.running),
             num_tokens=len(self.running),
-            preempted=preempted,
+            preempted=victims,
         )
+
+    def _observe_appends(self, visited: list[Request], idle: list[Request],
+                         free_mark: int) -> None:
+        """Commit the appends of ``visited`` (bar the ``idle`` ones) as
+        one KV metering call, ``free_mark`` being the free-block count
+        before them."""
+        self.kv.observe_appends(
+            [r.request_id for r in visited if r not in idle],
+            free_mark - self.kv.free_blocks)
 
     def _preempt(self, req: Request) -> None:
         self.kv.free(req.request_id)
