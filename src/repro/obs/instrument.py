@@ -90,9 +90,7 @@ class Instrumentation:
     _handles: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
     """Metric handles :meth:`record_iterations` writes, keyed by KV op or
-    phase; they belong to ``_handles_of``, and a new registry drops them."""
-    _handles_of: MetricsRegistry | None = field(default=None, init=False,
-                                                repr=False, compare=False)
+    phase (``metrics`` is never rebound once recorded into)."""
 
     def record_iterations(self, *, kv_op: str | None = None,
                           kv_ops: int = 1, kv_blocks: int = 0,
@@ -115,14 +113,11 @@ class Instrumentation:
         call per operation.  Metrics are created in the order the scalar
         loop creates them (KV before iterations), because
         :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` is ordered by
-        insertion.  Handles are looked up once per registry and reused;
+        insertion.  Each metric is looked up once and its handle reused;
         ``kv_blocks_total`` is still created by the first call that moves
         a block."""
         metrics = self.metrics
         handles = self._handles
-        if self._handles_of is not metrics:
-            handles.clear()
-            self._handles_of = metrics
         if kv_op is not None:
             kv = handles.get(kv_op)
             if kv is None:

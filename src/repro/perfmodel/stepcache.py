@@ -25,9 +25,12 @@ cache at import; :func:`configure` flips it at runtime; counters come
 back from :func:`stats` and flow into the ``repro.obs`` metrics registry
 via the serving engine (``stepcache_hits_total`` / ``stepcache_misses_total`` gauges).
 Those gauges count host step-cache lookups, not simulated work: the
-engine's decode-window iterations make no lookups, so the gauges vary
-with execution mode (``REPRO_NO_VECTORIZE_ENGINE``, ``REPRO_NO_STEPCACHE``)
-while every other metric is bit-identical across modes.
+engine's decode-window iterations make none, and neither does a scalar
+step whose components no hook reads (its total comes from the fast
+path's memos).  So the gauges vary with execution mode
+(``REPRO_NO_VECTORIZE_ENGINE``, ``REPRO_NO_STEPCACHE``) and with what the
+handle carries (an enabled span tracer or cluster telemetry prices every
+step through a breakdown), while every other metric is bit-identical.
 """
 
 from __future__ import annotations

@@ -81,7 +81,10 @@ take one batch commit through ``Instrumentation.record_iterations``
 created in scalar order), and the SLO tracker has nothing to record,
 because no request arrives, completes or is preempted inside a window.
 Only the two step-cache gauges differ, since window iterations make no
-step-cache lookups.
+step-cache lookups.  Nor do the scalar steps of a lean handle (span
+tracer off, no cluster telemetry): like unobserved steps they price
+through :meth:`EngineFastPath.step_total`, so those gauges count fewer
+lookups than under a handle that reads each step's components.
 
 A window bounded by a fleet horizon plans nothing past it: fleet events
 come every couple of iterations, so a call pays for the iterations it
