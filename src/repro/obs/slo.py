@@ -21,8 +21,11 @@ flight-recorder property tests assert.
 
 from __future__ import annotations
 
+import bisect
+import math
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.obs.alerts import Alert, AlertRule
@@ -56,6 +59,9 @@ _METRIC_HISTOGRAMS = {
     "itl": "itl_seconds",
     "e2e": "e2e_latency_seconds",
 }
+
+_terminal_time = itemgetter(0)
+"""Sort key of one ``(terminal_time, is_bad)`` SLO sample."""
 
 _SPEC_RE = re.compile(
     r"^\s*p(?P<pct>\d+(?:\.\d+)?)\s+(?P<metric>ttft|itl|e2e)\s*"
@@ -223,12 +229,15 @@ class SloTracker:
         if not slos:
             raise ValueError("SloTracker needs at least one SLO")
         self.slos = slos
-        # per SLO: time-ordered (terminal_time, is_bad) samples, with a
+        # per SLO: (terminal_time, is_bad) samples in report order, with a
         # running bad count so budget() is O(1) instead of a rescan (the
         # fleet admission controller reads budgets on every policy tick)
         self._samples: dict[str, list[tuple[float, bool]]] = {
             s.name: [] for s in slos}
         self._bad: dict[str, int] = {s.name: 0 for s in slos}
+        # per SLO: bad count of samples[:i] at index i, extended lazily by
+        # window_counts (samples may be appended directly)
+        self._bad_prefix: dict[str, list[int]] = {s.name: [0] for s in slos}
 
     def align_buckets(self, metrics: MetricsRegistry) -> None:
         """Pin each latency SLO threshold onto an exact histogram bucket
@@ -276,15 +285,39 @@ class SloTracker:
                       window_s: float) -> tuple[int, int]:
         """(total, bad) samples with terminal time in ``[now - window_s,
         now]``: a sample exactly ``window_s`` old still counts (the test is
-        ``t < now - window_s`` to drop it)."""
-        cutoff = now - window_s
-        total = bad = 0
-        for t, is_bad in reversed(self._samples[name]):
-            if t < cutoff:
-                break
-            total += 1
-            bad += is_bad
-        return total, bad
+        ``t < now - window_s`` to drop it).
+
+        Window queries need the samples in non-decreasing time order, as
+        one engine's clock reports them (a fleet's admission tracker mixes
+        replicas' clocks but only reads budgets): the count is a bisection
+        for the cutoff plus a difference of running bad counts, and a
+        ``ValueError`` is raised for a sample older than the one before
+        it."""
+        samples = self._samples[name]
+        prefix = self._bad_prefix[name]
+        n = len(samples)
+        if len(prefix) <= n:
+            done = len(prefix) - 1
+            last = samples[done - 1][0] if done else -math.inf
+            running = prefix[-1]
+            for t, is_bad in samples[done:]:
+                if t < last:
+                    raise ValueError(
+                        f"SLO {name!r} samples are not time-ordered: "
+                        f"{t!r} after {last!r}")
+                last = t
+                running += is_bad
+                prefix.append(running)
+        first = bisect.bisect_left(samples, now - window_s,
+                                   key=_terminal_time)
+        return n - first, prefix[n] - prefix[first]
+
+    @staticmethod
+    def _burn(slo: SLO, total: int, bad: int) -> float:
+        """Burn rate of ``bad`` out of ``total`` window samples."""
+        if total == 0:
+            return 0.0
+        return (bad / total) / slo.budget_fraction
 
     def burn_rate(self, name: str, now: float, window_s: float) -> float:
         """Error-budget burn rate over the trailing window: the bad
@@ -292,10 +325,7 @@ class SloTracker:
         the sustainable rate; 14.4 = the whole budget gone in 1/14.4 of
         the period."""
         slo = self._slo(name)
-        total, bad = self.window_counts(name, now, window_s)
-        if total == 0:
-            return 0.0
-        return (bad / total) / slo.budget_fraction
+        return self._burn(slo, *self.window_counts(name, now, window_s))
 
     def report(self, now: float) -> dict[str, Any]:
         """Deterministic JSON-able error-budget report."""
@@ -378,16 +408,17 @@ class BurnRateRule(AlertRule):
         tracker = self._tracker(engine)
         if tracker is None:
             return None
+        name = self.slo.name
         now = engine.clock
-        total, _ = tracker.window_counts(self.slo.name, now,
-                                         self.long_window_s)
+        total, bad = tracker.window_counts(name, now, self.long_window_s)
         if total < self.min_samples:
             return None
-        long_burn = tracker.burn_rate(self.slo.name, now, self.long_window_s)
+        slo = tracker._slo(name)
+        long_burn = tracker._burn(slo, total, bad)
         if long_burn < self.factor:
             return None
-        short_burn = tracker.burn_rate(self.slo.name, now,
-                                       self.short_window_s)
+        short_burn = tracker._burn(
+            slo, *tracker.window_counts(name, now, self.short_window_s))
         if short_burn < self.factor:
             return None
         budget = tracker.budget(self.slo.name)

@@ -14,7 +14,14 @@ times on a given hardware/parallelism/quantization deployment:
 
 The cost arithmetic exists once (:meth:`StepModel._step_terms`) and runs
 on Python floats for one step and on float64 arrays for a sweep axis,
-with the same bits either way.
+with the same bits either way.  It splits along what the terms read: the
+attention core alone reads the KV context, while weights, expert
+coverage, the router, embedding and lm_head, TP/EP collectives, PP hops
+and the fixed overhead read only the step's token count and batch
+(:meth:`StepModel._token_terms`).  For decode steps those token-only
+terms are memoized per scalar ``(tokens, batch)`` in the step cache, so a
+decode row over many contexts, or a decode breakdown at an already priced
+``(tokens, batch)``, pays only for attention.
 """
 
 from __future__ import annotations
@@ -187,26 +194,23 @@ class StepModel:
     # per-layer times
     # ------------------------------------------------------------------ #
 
-    def _attention_time(self, m, batch, kv_len, attended_len):
+    def _attention_core_time(self, m, batch, kv_len, attended_len):
+        """Seconds of one layer's attention core: the only step term that
+        reads the KV context."""
         tp = self.plan.tp
         att = self.model.attention
         if att.kind is AttentionKind.MLA and self.mla_native:
             kv_shard = 1.0  # the compressed latent is replicated across TP
         else:
             kv_shard = float(min(tp, att.num_kv_heads))
-        t = self._component_time(qkvo_cost(self.model, m, self.quant), shard=tp)
         # the attention core runs in half precision regardless of quant mode
-        t = t + self._component_time(
+        return self._component_time(
             attention_core_cost(self.model, m, batch, kv_len, self.quant,
                                 attended_len, mla_native=self.mla_native),
             shard=tp,
             kv_shard=kv_shard,
             dtype="fp16",
         )
-        # rmsnorm + residual + rope elementwise traffic
-        ew_bytes = 8.0 * m * self.model.hidden_size * self.quant.activation_bytes / tp
-        hw = self.hardware
-        return t + _kernel_time(0.0, ew_bytes, "fp16", 5, hw.max_gemm_efficiency, hw)
 
     def _moe_ffn_time(self, m):
         """(router seconds, compute seconds incl. router, comm seconds) of
@@ -255,29 +259,29 @@ class StepModel:
     # whole-step times
     # ------------------------------------------------------------------ #
 
-    def _step_terms(self, m, batch, kv_len, attended_len):
-        """The step's ``(attention, moe_ffn, dense_ffn, embedding, lm_head,
-        router, comm, pipeline, overhead)`` seconds.
-
-        The one step-cost core: the shape arguments are all Python floats
-        (one step) or all float64 arrays (a sweep axis), with the same
-        bits either way.  Each per-layer term is priced once and then
-        accumulated by repeated addition, as a per-layer loop would —
-        ``n`` additions are not one multiplication in floating point.
-        """
+    def _token_terms(self, m, batch):
+        """Every step term that reads ``(m, batch)`` alone, not the KV
+        context: ``(qkvo, elementwise, moe_ffn, dense_ffn, embedding,
+        lm_head, router, comm, pipeline, overhead)`` seconds, where
+        ``qkvo`` and ``elementwise`` are one attention layer's projections
+        and rmsnorm/residual/rope traffic and the rest are already summed
+        over the layers (see :meth:`_step_terms`)."""
         model, plan, quant, hw = self.model, self.plan, self.quant, self.hardware
         layers = self._layer_is_moe
         n_moe = layers.count(True)
         n_dense = len(layers) - n_moe
-        attn_layer = self._attention_time(m, batch, kv_len, attended_len)
+        qkvo = self._component_time(qkvo_cost(model, m, quant), shard=plan.tp)
+        # rmsnorm + residual + rope elementwise traffic
+        ew_bytes = 8.0 * m * model.hidden_size * quant.activation_bytes / plan.tp
+        elementwise = _kernel_time(0.0, ew_bytes, "fp16", 5,
+                                   hw.max_gemm_efficiency, hw)
         router_layer = moe_layer = comm_layer = dense_layer = 0.0
         if n_moe:
             router_layer, moe_layer, comm_layer = self._moe_ffn_time(m)
         if n_dense:
             dense_layer = self._dense_ffn_time(m)
-        attention = moe_ffn = dense_ffn = router = moe_comm = 0.0
+        moe_ffn = dense_ffn = router = moe_comm = 0.0
         for is_moe in layers:
-            attention = attention + attn_layer
             if is_moe:
                 router = router + router_layer
                 moe_ffn = moe_ffn + moe_layer
@@ -311,6 +315,49 @@ class StepModel:
         overhead = (hw.step_overhead_us + batch * hw.per_seq_overhead_us) * 1e-6
 
         # vision tower cost is charged by the caller per image, not per step
+        return (qkvo, elementwise, moe_ffn, dense_ffn, embedding, lm_head,
+                router, comm, pipeline, overhead)
+
+    def _step_terms(self, m, batch, kv_len, attended_len):
+        """The step's ``(attention, moe_ffn, dense_ffn, embedding, lm_head,
+        router, comm, pipeline, overhead)`` seconds.
+
+        The one step-cost core: each shape argument is a Python float (one
+        step) or a float64 array (a sweep axis), with the same bits either
+        way.  Only the attention core reads the context; every other term
+        comes from :meth:`_token_terms`, which a decode step at scalar
+        ``(m, batch)`` takes from the step cache's token memo
+        (:attr:`~repro.perfmodel.stepcache.StepCache.token_terms`), so a
+        decode row (scalar batch, array context) and a decode breakdown
+        at a known ``(m, batch)`` price the attention core alone.  Each
+        per-layer term is priced once and then accumulated by repeated
+        addition from ``0.0``, as a per-layer loop would (``n`` additions
+        are not one multiplication in floating point); the attention layer
+        is ``(qkvo + core) + elementwise``.  The accumulators are
+        independent, so summing the token-only ones apart leaves every bit
+        as it was.
+        """
+        cache = self._cache
+        # only decode shapes (whole-context attention) are memoized: their
+        # (m, batch) recurs across contexts, while prefill token counts
+        # are nearly unique and would fill the memo without a hit
+        if (attended_len is None and cache.enabled
+                and not isinstance(m, np.ndarray)
+                and not isinstance(batch, np.ndarray)):
+            key = (self._setup_id, m, batch)
+            tokens = cache.token_terms.get(key)
+            if tokens is None:
+                tokens = self._token_terms(m, batch)
+                cache.put_token_terms(key, tokens)
+        else:
+            tokens = self._token_terms(m, batch)
+        qkvo, elementwise, moe_ffn, dense_ffn, embedding, lm_head, router, \
+            comm, pipeline, overhead = tokens
+        attn_layer = (qkvo + self._attention_core_time(
+            m, batch, kv_len, attended_len)) + elementwise
+        attention = 0.0
+        for _ in self._layer_is_moe:
+            attention = attention + attn_layer
         return (attention, moe_ffn, dense_ffn, embedding, lm_head, router,
                 comm, pipeline, overhead)
 
@@ -428,8 +475,7 @@ class StepModel:
         att = None if attended_len is None else np.asarray(attended_len, dtype=np.float64)
         if m.size and (m.min() <= 0 or b.min() <= 0):
             raise ValueError("num_tokens and batch must be positive")
-        total = self._total(self._step_terms(m, b, kv, att))
-        return [float(x) for x in total]
+        return self._total(self._step_terms(m, b, kv, att)).tolist()
 
     def step_total_one(self, num_tokens, batch, kv_len,
                        attended_len=None) -> float:
@@ -459,13 +505,24 @@ class StepModel:
         )
 
     def decode_totals(self, batches, context_lens) -> list[float]:
-        """``decode_step_time`` for per-point ``(batch, context)`` pairs."""
+        """``decode_step_time`` for per-point ``(batch, context)`` pairs.
+
+        When every batch is equal (an engine decode-memo row) the batch
+        stays a scalar: the token-only terms are priced once, through the
+        token memo, and one array pass over the contexts prices the
+        attention core."""
         batches = list(batches)
-        context_lens = list(context_lens)
-        if any(c <= 0 for c in context_lens):
+        kv = np.asarray(context_lens, dtype=np.float64)
+        if kv.size and kv.min() <= 0:
             raise ValueError("context_len must be positive")
+        if batches and len(batches) == len(kv) \
+                and batches.count(batches[0]) == len(batches):
+            b = float(batches[0])
+            if b <= 0:
+                raise ValueError("num_tokens and batch must be positive")
+            return self._total(self._step_terms(b, b, kv, None)).tolist()
         return self.step_totals(
-            num_tokens=batches, batch=batches, kv_len=context_lens,
+            num_tokens=batches, batch=batches, kv_len=kv,
         )
 
     def cache_stats(self) -> _stepcache.CacheStats:

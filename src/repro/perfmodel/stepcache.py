@@ -15,6 +15,12 @@ Cached breakdowns are shared between callers and MUST NOT be mutated;
 consumers that edit component dicts (e.g. the fault injector) take a copy
 first (see ``ServingEngine._components_of``).
 
+Beside whole breakdowns the cache keeps the token-only part of a decode
+step (:attr:`StepCache.token_terms`): every term except the attention
+core depends on ``(num_tokens, batch)`` alone, so a decode breakdown miss
+at a known ``(num_tokens, batch)``, and an engine decode row over many
+contexts at one batch, re-price only the attention core.
+
 Setups are interned to small integer ids at :class:`StepModel`
 construction so the per-lookup key is a cheap flat tuple — the frozen
 dataclass hash (which walks the whole model config) is paid once per
@@ -129,7 +135,9 @@ def freeze(value: object) -> Hashable:
 
 
 class StepCache:
-    """Exact memo table for step breakdowns, keyed on interned setups."""
+    """Exact memo tables for step breakdowns and their token-only terms
+    (plus the engine fast path's totals and decode rows), keyed on
+    interned setups.  ``enabled=False`` turns every table off."""
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES,
                  enabled: bool = True) -> None:
@@ -148,6 +156,15 @@ class StepCache:
         replicas share one perf model; sweep points share a setup id) only
         changes wallclock, never outputs.  Filled and bounded by
         :class:`~repro.serving.fastpath.EngineFastPath`."""
+        self.token_terms: dict[tuple, tuple] = {}
+        """:meth:`StepModel._token_terms` output keyed ``(setup_id,
+        num_tokens, batch)`` for scalar decode shapes: every step term
+        except the attention core, which alone reads the KV context.
+        Prefill shapes are not kept (their token counts almost never
+        recur).  Filled by :meth:`StepModel._step_terms` through
+        :meth:`put_token_terms`; it never touches :attr:`stats`, so the
+        step-cache gauges count breakdown lookups only.  Same sharing and
+        bit-identity contract as :attr:`totals`."""
         self.decode_plans: dict[tuple[int, int], dict[int, list[float]]] = {}
         """Decode-step seconds as ``(setup_id, batch) -> {block: row}``,
         where ``row[i]`` is the step at context ``block * DECODE_BLOCK +
@@ -191,6 +208,13 @@ class StepCache:
             self.stats.clears += 1
         self._entries[key] = breakdown
 
+    def put_token_terms(self, key: tuple, terms: tuple) -> None:
+        """Bounded :attr:`token_terms` insert (wholesale clear at
+        :attr:`max_entries`, like the shape table, but uncounted)."""
+        if len(self.token_terms) >= self.max_entries:
+            self.token_terms.clear()
+        self.token_terms[key] = terms
+
     # ------------------------------------------------------------------ #
     # management
     # ------------------------------------------------------------------ #
@@ -199,6 +223,7 @@ class StepCache:
         """Drop all shape entries (setup ids are kept)."""
         self._entries.clear()
         self.totals.clear()
+        self.token_terms.clear()
         self.decode_plans.clear()
 
     def reset_stats(self) -> None:

@@ -40,6 +40,7 @@ from repro.obs.slo import SLO, BurnRateRule, SloTracker, sre_burn_rules
 from repro.obs.trace import SpanTracer
 from repro.hardware.gpus import H100_SXM
 from repro.models.zoo import get_model
+from repro.parallel.plan import SINGLE_DEVICE, ParallelPlan
 from repro.perfmodel import stepcache
 from repro.perfmodel.inference import InferencePerfModel
 from repro.serving.engine import ServingEngine
@@ -542,6 +543,11 @@ class TestHorizonSplitWindows:
             == run_digest(scalar.run())
 
 
+_ROW_PLANS = (SINGLE_DEVICE, ParallelPlan(tp=2), ParallelPlan(tp=4, ep=4),
+              ParallelPlan(tp=4, pp=2))
+_ROW_BATCHES = (1, 7, 64)
+
+
 class TestDecodeMemo:
     """Every decode duration the fast path memoizes is the one-point
     price of its shape: a block's array pass and a one-point probe agree
@@ -582,3 +588,46 @@ class TestDecodeMemo:
         for context, seconds in zip(contexts, totals):
             assert type(seconds) is float
             assert seconds == steps.step_total_one(batch, batch, context)
+
+    @pytest.mark.parametrize("model", ("OLMoE-1B-7B", "DeepSeek-V2-Lite"))
+    @pytest.mark.parametrize("plan", _ROW_PLANS, ids=str)
+    @pytest.mark.parametrize("memo", ("cold", "warm", "disabled"))
+    def test_rows_equal_breakdown_totals(self, model, plan, memo):
+        """A decode row (scalar batch, one attention pass over the
+        contexts) holds ``step_breakdown(...).total`` bit for bit, whether
+        the token memo starts cold, starts warm from breakdowns at the
+        same batch, or the step cache is off."""
+        try:
+            pm = InferencePerfModel(get_model(model), H100_SXM, plan=plan)
+        except ValueError:
+            pytest.skip("plan invalid for this model")
+        steps = pm.steps
+        blocks = (0, 1, 63)
+        enabled = stepcache.GLOBAL.enabled
+        try:
+            stepcache.configure(enabled=False)
+            want = {
+                (batch, block): [
+                    steps.step_breakdown(batch, batch, ctx, "decode").total
+                    .hex() if ctx else None
+                    for ctx in range(block * DECODE_BLOCK,
+                                     (block + 1) * DECODE_BLOCK)]
+                for batch in _ROW_BATCHES for block in blocks}
+            stepcache.configure(enabled=memo != "disabled")
+            stepcache.clear()
+            if memo == "warm":
+                for batch in _ROW_BATCHES:
+                    steps.decode_step_time(batch, 5_000)
+                assert stepcache.GLOBAL.token_terms
+            fastpath = EngineFastPath(ServingEngine(pm))
+            for (batch, block), hexes in want.items():
+                row = fastpath._price_block({}, batch, block)
+                assert [x.hex() if ctx else None
+                        for ctx, x in enumerate(row, block * DECODE_BLOCK)
+                        ] == hexes
+                assert all(type(x) is float for x in row)
+            if memo == "disabled":
+                assert not stepcache.GLOBAL.token_terms
+        finally:
+            stepcache.configure(enabled=enabled)
+            stepcache.clear()

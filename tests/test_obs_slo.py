@@ -6,6 +6,8 @@ import json
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.harness import reference_serving_run
 from repro.obs.instrument import Instrumentation
@@ -26,6 +28,19 @@ from repro.obs.slo import (
 )
 from repro.serving.events import Event, EventType
 from repro.serving.request import Request, RequestState, SamplingParams
+
+
+def _reverse_scan(samples, now, window_s):
+    """Reference window count: walk back from the newest sample until
+    one is older than ``now - window_s``."""
+    cutoff = now - window_s
+    total = bad = 0
+    for t, is_bad in reversed(samples):
+        if t < cutoff:
+            break
+        total += 1
+        bad += is_bad
+    return total, bad
 
 
 class TestSloParse:
@@ -165,6 +180,53 @@ class TestSloTracker:
                                      window_s=0.5) == (2, 1)
         assert tracker.window_counts("availability", now=1.5000001,
                                      window_s=0.5) == (1, 0)
+
+    def test_window_query_rejects_unordered_samples(self):
+        tracker = SloTracker((SLO.parse("availability >= 99%"),))
+        tracker._samples["availability"].extend([(2.0, True), (1.0, False)])
+        with pytest.raises(ValueError, match="time-ordered"):
+            tracker.window_counts("availability", now=3.0, window_s=5.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_window_counts_match_a_reverse_scan(self, data):
+        """Interleaved appends and queries over non-decreasing times with
+        ties; queries land exactly one window after a sample, between
+        samples and past the end, for several window lengths."""
+        tracker = SloTracker((SLO.parse("availability >= 99%"),))
+        samples = tracker._samples["availability"]
+        windows = (0.25, 0.5, 1.0, 2.5, 1e9)
+        clock = 0.0
+        for _ in range(data.draw(st.integers(1, 40))):
+            if not samples or data.draw(st.booleans()):
+                # dyadic steps keep the exact-boundary queries exact
+                clock += data.draw(st.sampled_from((0.0, 0.0, 0.25, 0.5, 1.0)))
+                samples.append((clock, data.draw(st.booleans())))
+                continue
+            window_s = data.draw(st.sampled_from(windows))
+            anchor = data.draw(st.sampled_from(samples))[0]
+            now = data.draw(st.sampled_from((
+                anchor + window_s, anchor, clock, clock + 0.125,
+                anchor + window_s + 0.125)))
+            assert tracker.window_counts("availability", now, window_s) \
+                == _reverse_scan(samples, now, window_s)
+
+    def test_burn_rule_counts_each_window_once(self, monkeypatch):
+        slo = SLO.parse("availability >= 99%")
+        tracker = SloTracker((slo,))
+        tracker._samples["availability"].extend(
+            (float(t), True) for t in range(10))
+        engine = SimpleNamespace(obs=SimpleNamespace(slo=tracker), clock=9.0)
+        calls = []
+        counts = tracker.window_counts
+        monkeypatch.setattr(tracker, "window_counts",
+                            lambda *a: calls.append(a[2]) or counts(*a))
+        rule = BurnRateRule(slo, long_window_s=5.0, short_window_s=1.0,
+                            factor=2.0)
+        alert = rule.check(engine)
+        assert alert is not None
+        assert alert.context["long_burn_rate"] == pytest.approx(100.0)
+        assert calls == [5.0, 1.0]
 
     def test_burn_rate_is_bad_fraction_over_budget_fraction(self):
         slo = SLO.parse("availability >= 99%")  # budget fraction 0.01

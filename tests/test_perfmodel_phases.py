@@ -20,6 +20,7 @@ from repro.models.zoo import (
 )
 from repro.optim.quantization import FP8_CONFIG, FP16_CONFIG
 from repro.parallel.plan import SINGLE_DEVICE, ParallelPlan
+from repro.perfmodel import stepcache
 from repro.perfmodel.phases import StepModel
 
 
@@ -211,3 +212,18 @@ class TestGoldenBreakdown:
         step model — including components no BENCH digest reads — fails
         here.  Re-record only for an intended model change."""
         assert _breakdown_digest() == _GOLDEN_DIGEST
+
+    def test_digest_holds_with_token_memo_warm(self):
+        """Twice in one process: the second pass drops the breakdowns, so
+        every one is rebuilt from the token terms memoized by the first."""
+        enabled = stepcache.GLOBAL.enabled
+        stepcache.configure(enabled=True)
+        stepcache.clear()
+        try:
+            assert _breakdown_digest() == _GOLDEN_DIGEST
+            assert stepcache.GLOBAL.token_terms
+            stepcache.GLOBAL._entries.clear()
+            assert _breakdown_digest() == _GOLDEN_DIGEST
+        finally:
+            stepcache.configure(enabled=enabled)
+            stepcache.clear()

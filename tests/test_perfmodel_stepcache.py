@@ -132,6 +132,64 @@ class TestCacheMechanics:
         assert id(knob) not in stepcache._FROZEN
 
 
+class TestTokenMemo:
+    """The token-only terms of decode steps are memoized per scalar
+    ``(num_tokens, batch)`` beside the breakdown table, without touching
+    its counters."""
+
+    def test_contexts_share_one_entry(self, fresh_cache):
+        steps = _steps()
+        steps.decode_step_time(4, 128)
+        steps.decode_step_time(4, 129)
+        steps.decode_totals([4] * 3, [7, 8, 9])
+        assert list(fresh_cache.token_terms) == [(steps.setup_id, 4.0, 4.0)]
+
+    def test_leaves_stats_unchanged(self, fresh_cache):
+        steps = _steps()
+        steps.decode_totals([3] * 5, range(1, 6))
+        steps.step_total_one(2, 2, 64)
+        assert len(fresh_cache.token_terms) == 2
+        assert stepcache.stats() == stepcache.CacheStats()
+
+    def test_prefill_shapes_stay_unmemoized(self, fresh_cache):
+        steps = _steps()
+        steps.prefill_time(2, 64)
+        steps.step_total_one(128, 2, 64, 32.5)
+        assert not fresh_cache.token_terms
+
+    def test_bounded_by_max_entries(self, fresh_cache):
+        old_max = fresh_cache.max_entries
+        try:
+            stepcache.configure(max_entries=4)
+            steps = _steps()
+            for batch in range(1, 8):
+                steps.step_total_one(batch, batch, 128)
+                assert 1 <= len(fresh_cache.token_terms) <= 4
+            assert fresh_cache.stats.clears == 0
+        finally:
+            stepcache.configure(max_entries=old_max)
+
+    def test_clear_empties(self, fresh_cache):
+        _steps().decode_step_time(2, 64)
+        assert fresh_cache.token_terms
+        stepcache.clear()
+        assert not fresh_cache.token_terms
+
+    def test_disabled_stores_nothing(self, fresh_cache):
+        stepcache.configure(enabled=False)
+        steps = _steps()
+        steps.decode_step_time(2, 64)
+        steps.decode_totals([2] * 4, [1, 2, 3, 4])
+        steps.step_total_one(128, 1, 128, 64.5)
+        assert not fresh_cache.token_terms
+
+    def test_array_axes_stay_unmemoized(self, fresh_cache):
+        steps = _steps()
+        steps.decode_totals([1, 2, 3], [16, 16, 16])
+        steps.prefill_totals([1, 1], [64, 128])
+        assert not fresh_cache.token_terms
+
+
 class TestEngineEquivalence:
     def _run(self) -> list[float]:
         pm = InferencePerfModel(get_model("OLMoE-1B-7B"), H100_SXM)
