@@ -85,8 +85,11 @@ class AdmissionController:
     # ------------------------------------------------------------------ #
 
     def on_terminal(self, request: Request, now: float) -> None:
-        """Score one terminal request (the fleet feeds these in
-        deterministic ``(time, request_id)`` order)."""
+        """Score one terminal request.  The fleet reports each batch of
+        replica terminals in ``(time, request_id)`` order, but sheds a
+        request at its arrival time, which can be earlier than terminals
+        already reported; the tracker files such a sample at its time
+        position."""
         self.tracker.on_request_terminal(request, now)
 
     def budgets(self) -> list[ErrorBudget]:

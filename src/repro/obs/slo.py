@@ -229,9 +229,10 @@ class SloTracker:
         if not slos:
             raise ValueError("SloTracker needs at least one SLO")
         self.slos = slos
-        # per SLO: (terminal_time, is_bad) samples in report order, with a
-        # running bad count so budget() is O(1) instead of a rescan (the
-        # fleet admission controller reads budgets on every policy tick)
+        # per SLO: (terminal_time, is_bad) samples in time order (ties in
+        # report order), with a running bad count so budget() is O(1)
+        # instead of a rescan (the fleet admission controller reads
+        # budgets on every policy tick)
         self._samples: dict[str, list[tuple[float, bool]]] = {
             s.name: [] for s in slos}
         self._bad: dict[str, int] = {s.name: 0 for s in slos}
@@ -258,10 +259,22 @@ class SloTracker:
     # ------------------------------------------------------------------ #
 
     def on_request_terminal(self, req: "Request", now: float) -> None:
-        """Score one finished/failed request at its terminal time."""
+        """Score one finished/failed request at its terminal time.
+
+        A sample older than the last one reported (a fleet sheds a request
+        at its arrival time after replica terminals with later times) is
+        filed at its time position, after any samples of equal time, and
+        the running bad counts from there on are dropped for
+        :meth:`window_counts` to rebuild."""
         for slo in self.slos:
             bad = not slo.is_good(req)
-            self._samples[slo.name].append((now, bad))
+            samples = self._samples[slo.name]
+            if samples and now < samples[-1][0]:
+                at = bisect.bisect_right(samples, now, key=_terminal_time)
+                samples.insert(at, (now, bad))
+                del self._bad_prefix[slo.name][at + 1:]
+            else:
+                samples.append((now, bad))
             self._bad[slo.name] += bad
 
     # ------------------------------------------------------------------ #
@@ -287,12 +300,11 @@ class SloTracker:
         now]``: a sample exactly ``window_s`` old still counts (the test is
         ``t < now - window_s`` to drop it).
 
-        Window queries need the samples in non-decreasing time order, as
-        one engine's clock reports them (a fleet's admission tracker mixes
-        replicas' clocks but only reads budgets): the count is a bisection
-        for the cutoff plus a difference of running bad counts, and a
-        ``ValueError`` is raised for a sample older than the one before
-        it."""
+        The count is a bisection for the cutoff plus a difference of
+        running bad counts, so it needs the samples in non-decreasing time
+        order, which :meth:`on_request_terminal` keeps; a ``ValueError`` is
+        raised for a sample appended directly that is older than the one
+        before it."""
         samples = self._samples[name]
         prefix = self._bad_prefix[name]
         n = len(samples)
@@ -392,7 +404,8 @@ class BurnRateRule(AlertRule):
             name, now, self.short_window_s)
         if long_total < self.min_samples or not long_bad or not short_bad:
             return len(plan)
-        if self.check(engine) is not None:
+        if self._alert(tracker, now, (long_total, long_bad),
+                       (short_total, short_bad)) is not None:
             return 0
         samples = tracker._samples[name]
         long_oldest = samples[-long_total][0]
@@ -408,17 +421,28 @@ class BurnRateRule(AlertRule):
         tracker = self._tracker(engine)
         if tracker is None:
             return None
-        name = self.slo.name
         now = engine.clock
-        total, bad = tracker.window_counts(name, now, self.long_window_s)
+        return self._alert(tracker, now, tracker.window_counts(
+            self.slo.name, now, self.long_window_s))
+
+    def _alert(self, tracker: SloTracker, now: float,
+               long_counts: tuple[int, int],
+               short_counts: tuple[int, int] | None = None) -> Alert | None:
+        """The page for these window counts, if any; the short window is
+        counted only when the long one burns and ``short_counts`` is not
+        given."""
+        total, bad = long_counts
         if total < self.min_samples:
             return None
+        name = self.slo.name
         slo = tracker._slo(name)
         long_burn = tracker._burn(slo, total, bad)
         if long_burn < self.factor:
             return None
-        short_burn = tracker._burn(
-            slo, *tracker.window_counts(name, now, self.short_window_s))
+        if short_counts is None:
+            short_counts = tracker.window_counts(
+                name, now, self.short_window_s)
+        short_burn = tracker._burn(slo, *short_counts)
         if short_burn < self.factor:
             return None
         budget = tracker.budget(self.slo.name)

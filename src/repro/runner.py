@@ -66,14 +66,13 @@ def _worker_run(exp_id: str) -> ExperimentResult:
 #: Without a hint the slowest figure can land last and serialize the
 #: pool; the values only need the right ordering, not precision.
 _RUNTIME_SEED_S: dict[str, float] = {
-    "fig15": 3.21,
+    "fig15": 1.76,
     "ext_slo": 0.57,
     "ext_fleet_policy": 0.43,
-    "ext_placement": 0.39,
     "ext_fleet_diurnal": 0.33,
     "ext_fleet_capacity": 0.27,
+    "ext_placement": 0.21,
     "ext_serving_load": 0.18,
-    "ext_offload": 0.13,
 }
 
 

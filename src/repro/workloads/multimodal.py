@@ -44,6 +44,9 @@ UNBALANCED_ROUTER_BIAS_STD = 0.75
 """Bias spread of a model trained without strong balancing (MolmoE):
 produces the paper's sparse heatmap with peak ≈ 5x mean."""
 
+_DRAW_BLOCK_ROWS = 1_024
+"""Rows of the float64 block a token chunk is drawn through."""
+
 
 @dataclass(frozen=True)
 class MMEStream:
@@ -109,6 +112,21 @@ def build_layer_routers(
     ]
 
 
+def _draw_normal_rows(rng: np.random.Generator, out: np.ndarray,
+                     block: np.ndarray) -> np.ndarray:
+    """Fill float32 ``out`` with ``rng.normal(size=out.shape)`` cast to
+    float32, bit for bit and leaving ``rng`` in the same state, without a
+    float64 array of ``out``'s size: the values are drawn into the float64
+    ``block`` (same column count) a block of rows at a time, in the order
+    one draw fills them, and rounded into ``out``."""
+    rows = len(block)
+    for start in range(0, len(out), rows):
+        part = block[: len(out) - start]
+        rng.standard_normal(out=part)
+        out[start:start + rows] = part
+    return out
+
+
 def run_activation_study(
     model: ModelConfig,
     stream: MMEStream | None = None,
@@ -137,10 +155,12 @@ def run_activation_study(
 
     routers = build_layer_routers(model, router_hidden, rng)
 
+    block = np.empty((_DRAW_BLOCK_ROWS, router_hidden))
+    buf = np.empty((min(chunk, routed), router_hidden), dtype=np.float32)
     remaining = routed
     while remaining > 0:
         n = min(chunk, remaining)
-        x = rng.normal(size=(n, router_hidden)).astype(np.float32)
+        x = _draw_normal_rows(rng, buf[:n], block)
         for slot, router in enumerate(routers):
             counts = router.route_counts(x)
             tracker.record_counts(slot, np.round(counts * scale).astype(np.int64))

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import repro.moe.router as router_mod
 from repro.moe.router import TopKRouter
 
 
@@ -179,3 +182,148 @@ class TestGoldenRouteCounts:
         change to which experts win, or to the count dtype, fails here.
         Re-record only for an intended routing change."""
         assert _route_counts_digest() == _GOLDEN_COUNTS_DIGEST
+
+
+# --------------------------------------------------------------------------- #
+# route_counts split across the helper thread
+# --------------------------------------------------------------------------- #
+
+_FLOOR = router_mod._SPLIT_MIN_ROWS
+_SPLIT_ROWS = (_FLOOR - 1, _FLOOR, _FLOOR + 1, 2 * _FLOOR + 3, 3_616, 16_383)
+_SPLIT_GEOMETRIES = ((64, 6), (72, 6), (64, 8), (8, 2))
+
+
+class _CountingExecutor(ThreadPoolExecutor):
+    """The helper's executor, counting the halves handed to it."""
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.fixture
+def helper(monkeypatch):
+    """Force the two-thread path whatever this host's CPU mask is."""
+    pool = _CountingExecutor()
+    monkeypatch.setattr(router_mod, "_helper", pool)
+    yield pool
+    pool.shutdown()
+
+
+def _assert_split_exact(router, x, helper):
+    """Split counts equal a serial count and ``route().expert_counts()``
+    as int64 bytes; the helper takes the second half exactly when the
+    batch reaches the floor."""
+    before = helper.submitted
+    split = router.route_counts(x)
+    assert helper.submitted - before == (len(x) >= _FLOOR)
+    serial = router._counts_of(np.asarray(x, dtype=np.float32))
+    full = router.route(x).expert_counts()
+    assert split.dtype == np.int64
+    assert split.tobytes() == serial.tobytes() == full.tobytes()
+
+
+def _lattice_router(num_experts, top_k, seed):
+    """Integer weights and no bias: integer-valued rows tie often."""
+    router = TopKRouter(128, num_experts, top_k,
+                        rng=np.random.default_rng(seed))
+    router.weight = np.random.default_rng(seed).integers(
+        -1, 2, size=router.weight.shape).astype(np.float32)
+    router.bias[:] = 0.0
+    return router
+
+
+def _boundary_tied(router, x):
+    logits = router.logits(x)
+    ranked = np.sort(logits, axis=-1)
+    e, k = router.num_experts, router.top_k
+    return ranked[:, e - k - 1] == ranked[:, e - k]
+
+
+class TestSplitRouteCounts:
+    @pytest.mark.parametrize("num_experts,top_k", _SPLIT_GEOMETRIES)
+    @pytest.mark.parametrize("rows", _SPLIT_ROWS)
+    def test_split_matches_serial_and_route(self, helper, num_experts,
+                                            top_k, rows):
+        router = TopKRouter(128, num_experts, top_k, expert_bias_std=0.75,
+                            rng=np.random.default_rng(rows))
+        x = np.random.default_rng(num_experts).normal(
+            size=(rows, 128)).astype(np.float32)
+        _assert_split_exact(router, x, helper)
+
+    @pytest.mark.parametrize("num_experts,top_k", _SPLIT_GEOMETRIES)
+    @pytest.mark.parametrize("halves", ("first", "second", "both"))
+    def test_ties_and_nans_in_either_half(self, helper, num_experts, top_k,
+                                          halves):
+        """Boundary ties and NaN rows planted in one half, the other, or
+        both: each half recounts its own rows."""
+        rows = 2 * _FLOOR + 1
+        router = _lattice_router(num_experts, top_k, seed=top_k)
+        rng = np.random.default_rng(num_experts)
+        x = rng.normal(size=(rows, 128)).astype(np.float32)
+        half = rows // 2
+        spans = {"first": [(0, half)], "second": [(half, rows)],
+                 "both": [(0, half), (half, rows)]}[halves]
+        planted = np.zeros(rows, dtype=bool)
+        for lo, hi in spans:
+            at = rng.choice(np.arange(lo, hi), size=40, replace=False)
+            x[at[:30]] = rng.integers(-1, 2, size=(30, 128))
+            x[at[30:], 7] = np.nan
+            planted[at] = True
+        tied = _boundary_tied(router, x)
+        nan = np.isnan(x).any(axis=1)
+        assert not (tied | nan)[~planted].any()
+        for lo, hi in spans:
+            assert tied[lo:hi].any() and nan[lo:hi].any()
+        _assert_split_exact(router, x, helper)
+
+    def test_invalid_input_raises_on_the_calling_thread(self, helper):
+        router = TopKRouter(128, 64, 6, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"x must be \(num_tokens, 128\)"):
+            router.route_counts(np.zeros((2 * _FLOOR, 127), np.float32))
+        assert helper.submitted == 0
+
+    def test_one_cpu_mask_keeps_the_serial_call(self, monkeypatch):
+        monkeypatch.setattr(router_mod, "_helper", None)
+        monkeypatch.setattr(router_mod.os, "sched_getaffinity",
+                            lambda pid: {0}, raising=False)
+        router = TopKRouter(128, 64, 6, rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(
+            size=(2 * _FLOOR, 128)).astype(np.float32)
+        assert router.route_counts(x).tobytes() \
+            == router.route(x).expert_counts().tobytes()
+        assert router_mod._helper is None
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_forked_child_routes_after_the_parent_has(self, helper):
+        """A child forked after the parent used the helper gets a helper of
+        its own (the parent's thread does not exist in the child) and
+        returns the parent's counts instead of hanging."""
+        router = TopKRouter(128, 64, 6, rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(
+            size=(2 * _FLOOR, 128)).astype(np.float32)
+        parent = router.route_counts(x)
+        assert helper.submitted == 1
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_route_in_child,
+                            args=(router, x, helper, queue))
+        child.start()
+        try:
+            counts, inherited = queue.get(timeout=60)
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+        assert not inherited
+        assert counts == parent.tobytes()
+
+
+def _route_in_child(router, x, parent_helper, queue):
+    counts = router.route_counts(x)
+    queue.put((counts.tobytes(), router_mod._helper is parent_helper))

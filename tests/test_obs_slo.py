@@ -140,6 +140,13 @@ class TestErrorBudget:
         assert "budget_consumed" in blob
 
 
+def _failed_request(rid=0):
+    req = Request(request_id=rid, prompt_tokens=8,
+                  sampling=SamplingParams(max_tokens=2))
+    req.fail("shed")
+    return req
+
+
 def _finished_request(rid=0):
     req = Request(request_id=rid, prompt_tokens=8,
                   sampling=SamplingParams(max_tokens=2))
@@ -210,6 +217,64 @@ class TestSloTracker:
                 anchor + window_s + 0.125)))
             assert tracker.window_counts("availability", now, window_s) \
                 == _reverse_scan(samples, now, window_s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_late_reports_are_filed_in_time_order(self, data):
+        """Reports at any times, late ones included, interleaved with
+        queries: the samples are the reports stably sorted by time, and
+        every window count equals a reverse scan over them."""
+        tracker = SloTracker((SLO.parse("availability >= 99%"),))
+        reported = []
+        for _ in range(data.draw(st.integers(1, 40))):
+            if not reported or data.draw(st.booleans()):
+                t = data.draw(st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0,
+                                               1.5, 2.0)))
+                good = data.draw(st.booleans())
+                req = _finished_request() if good else _failed_request()
+                tracker.on_request_terminal(req, now=t)
+                reported.append((t, not good))
+                continue
+            ordered = sorted(reported, key=lambda s: s[0])
+            assert tracker._samples["availability"] == ordered
+            window_s = data.draw(st.sampled_from((0.25, 0.5, 1.0, 1e9)))
+            now = data.draw(st.sampled_from((ordered[-1][0], 2.0, 2.125)))
+            assert tracker.window_counts("availability", now, window_s) \
+                == _reverse_scan(ordered, now, window_s)
+        assert tracker.budget("availability").bad == sum(
+            bad for _, bad in reported)
+
+    def test_fleet_shed_reports_keep_window_queries_exact(self, monkeypatch):
+        """Replays ext_fleet_capacity, whose admission trackers get shed
+        requests at their arrival time after replica terminals with later
+        times, and queries each tracker's windows after every report."""
+        from repro.experiments import fleet as fleet_exp
+        from repro.fleet.admission import AdmissionController
+
+        late = 0
+        # keyed by the controller itself, which keeps it alive
+        reported: dict[AdmissionController, list[tuple[float, bool]]] = {}
+        real = AdmissionController.on_terminal
+
+        def on_terminal(self, req, now):
+            nonlocal late
+            tracker = self.tracker
+            samples = tracker._samples["availability"]
+            late += bool(samples) and now < samples[-1][0]
+            real(self, req, now)
+            mine = reported.setdefault(self, [])
+            mine.append((now, not req.is_finished))
+            ordered = sorted(mine, key=lambda s: s[0])
+            assert samples == ordered
+            for window_s in (0.01, 0.25):
+                assert tracker.window_counts("availability", ordered[-1][0],
+                                             window_s) \
+                    == _reverse_scan(ordered, ordered[-1][0], window_s)
+
+        monkeypatch.setattr(AdmissionController, "on_terminal", on_terminal)
+        fleet_exp.run_fleet_capacity()
+        assert late > 0
+        assert len(reported) == 4
 
     def test_burn_rule_counts_each_window_once(self, monkeypatch):
         slo = SLO.parse("availability >= 99%")
@@ -397,6 +462,22 @@ class TestBurnRateRule:
                             short_window_s=0.2, factor=14.4)
         engine = _engine_stub(tracker, now=0.7)
         assert rule.quiet_iterations(engine, self._plan(0.71)) == 0
+
+    @pytest.mark.parametrize("factor,quiet", ((14.4, 0), (200.0, 1)))
+    def test_quiet_iterations_counts_each_window_once(self, monkeypatch,
+                                                      factor, quiet):
+        """An armed rule (enough samples, bad ones in both windows) counts
+        each window once per plan, whether it would page now or not."""
+        tracker = self._tracker([(t / 10.0, True) for t in range(8)])
+        calls = []
+        counts = tracker.window_counts
+        monkeypatch.setattr(tracker, "window_counts",
+                            lambda *a: calls.append(a[2]) or counts(*a))
+        rule = BurnRateRule(self.SLO99, long_window_s=1.0,
+                            short_window_s=0.2, factor=factor)
+        engine = _engine_stub(tracker, now=0.7)
+        assert rule.quiet_iterations(engine, self._plan(0.7, 0.9)) == quiet
+        assert calls == [1.0, 0.2]
 
     def test_sre_policy_has_fast_and_slow_pages_per_slo(self):
         rules = sre_burn_rules(DEFAULT_SLOS, hour_s=2.0)

@@ -91,7 +91,7 @@ class TestSubmissionOrder:
         from repro.runner import _submission_order
 
         ids = ["fig5", "ext_serving_load", "fig15"]
-        # fig15 (3.2 s) > ext_serving_load (0.2 s) > fig5 (no entry)
+        # fig15 (1.8 s) > ext_serving_load (0.2 s) > fig5 (no entry)
         assert _submission_order(ids) == ["fig15", "ext_serving_load",
                                           "fig5"]
 

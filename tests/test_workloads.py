@@ -18,6 +18,8 @@ from repro.workloads.multimodal import (
     BALANCED_ROUTER_BIAS_STD,
     UNBALANCED_ROUTER_BIAS_STD,
     MMEStream,
+    _DRAW_BLOCK_ROWS,
+    _draw_normal_rows,
     router_bias_std_for,
     run_activation_study,
 )
@@ -157,3 +159,19 @@ class TestMultimodal:
     def test_activation_study_rejects_dense(self, tiny_dense_model):
         with pytest.raises(ValueError):
             run_activation_study(tiny_dense_model)
+
+    @pytest.mark.parametrize("rows", (16_384, 10_848, 3_616, 1))
+    def test_block_draw_is_the_float32_cast_of_one_draw(self, rows):
+        """The study's chunk draw, through a float64 block into a reused
+        float32 buffer, gives ``rng.normal(size=(n, H)).astype(float32)``
+        bit for bit and leaves the generator where that draw does; two
+        chunks in a row check the state carried between them."""
+        hidden = 128
+        ours, ref = np.random.default_rng(7), np.random.default_rng(7)
+        block = np.empty((_DRAW_BLOCK_ROWS, hidden))
+        buf = np.empty((rows, hidden), dtype=np.float32)
+        for _ in range(2):
+            got = _draw_normal_rows(ours, buf, block)
+            want = ref.normal(size=(rows, hidden)).astype(np.float32)
+            assert got.tobytes() == want.tobytes()
+            assert ours.bit_generator.state == ref.bit_generator.state
