@@ -3,8 +3,7 @@
 Usage::
 
     repro list
-    repro run fig05[,fig06,...] [--out results/] [--jobs N] [--no-vectorize]
-    repro run ... [--no-vectorize-engine]
+    repro run fig05[,fig06,...] [--out results/] [--jobs N]
     repro run-all [--out results/] [--jobs N]
     repro summary [--out report.md] [--jobs N]
     repro trace [model-or-experiment] [--out trace.json]
@@ -14,63 +13,33 @@ Usage::
     repro metrics [model] [--json]
     repro report [model] [--tp N --ep N --pp N] [--out report.md]
     repro report --slo-gate [--out report.md] [--html report.html]
-    repro report --bundle DIR | --check
-    repro slo [--check] [--out report.json] [--bundle-dir DIR]
+    repro report --bundle DIR
+    repro slo [--out report.json] [--bundle-dir DIR]
     repro bench --record [--figs fig05,fig06] [--note "..."]
-    repro bench --check [--jobs N]
     repro bench --trend [--out trend.md]
+    repro gate
     repro profile [model-or-experiment] [--out profile.folded]
     repro chaos [--fault-seed N] [--fault-rate R] [--policy retry|failfast]
-    repro chaos --smoke
     repro fleet [--replicas N] [--policy round_robin|least_kv|prefix_affinity]
     repro fleet [--requests N] [--seed N] [--no-storm] [--no-autoscale]
-    repro fleet --smoke
     repro lint [--check] [--rules DET,UNIT,REG] [--json]
     repro lint --update-baseline | --list-rules
 
 (``repro`` and ``moe-inference-bench`` are the same entry point.)
 
-``chaos`` serves a deterministic workload under a seeded fault schedule
-(device loss, expert-shard loss, link degradation, KV-pressure spikes) and
-reports availability/recovery; ``--smoke`` replays the run, asserts the
-two digests are bit-identical and that every simulator invariant held —
-the CI determinism gate.  ``fleet`` routes a diurnal templated trace
-across a multi-replica fleet (pluggable router policy, SLO-aware
-admission, occupancy-driven autoscaler, whole-replica kill/heal storm —
-see ``docs/fleet.md``); its ``--smoke`` replays the canonical scenario
-and asserts bit-identical :func:`repro.fleet.invariants.fleet_digest`
-values plus the full fleet invariant suite on both runs.  ``trace`` records a reference serving run (or a
-registered experiment)
-under full instrumentation and writes Chrome Trace Event JSON for
-Perfetto / ``chrome://tracing`` — ``--poisson RATE`` swaps in the
-``ext_serving_load`` Poisson workload, ``--request``/``--match`` filter
-the exported events, ``--cluster`` adds per-device occupancy lanes and
-per-link utilization counters (``--device``/``--link`` filter them), and
-``--timeline`` prints one request's causal lifecycle table (see
-:mod:`repro.obs.reqtrace`); ``metrics`` prints the run's metrics in
-Prometheus text exposition format.  ``report`` folds one observed run —
-a clustered Poisson workload, the ``--slo-gate`` fault-storm scenario,
-or an existing flight-recorder ``--bundle`` — into a deterministic
-markdown/HTML run report (device occupancy, interconnect accounting,
-expert heat, MoE-CAP Sparse-MBU/MFU, SLO budgets, alerts); ``--check``
-builds it twice and gates on byte-identical output.  ``slo`` runs the
-canonical fault-storm scenario with SLO burn-rate paging armed and
-reports error-budget burn; ``--check`` replays it and asserts the report
-is byte-identical with at least one burn alert fired (the SLO
-determinism gate).  ``bench`` maintains the
-``BENCH_<figure>.json`` fingerprint baselines and gates drift
-(non-zero exit on ``--check`` failure); ``profile`` attributes a run's
-simulated time per phase × component and writes a folded-stack file for
-flamegraph tooling.  ``lint`` statically proves the simulator's
-invariants (determinism, unit consistency, registry drift) — the
-review-time complement to the dynamic gates.  See ``docs/observability.md``, ``docs/regression.md`` and
-``docs/lint.md``.
+Each subcommand's ``--help`` says what it does.  ``gate`` is the CI
+replay gate (:mod:`repro.gate`): every scenario of :mod:`repro.scenarios`
+in four execution modes, naming the first divergent row on a mismatch.
+The fast paths are switched off only through the environment
+(``REPRO_NO_VECTORIZE``, ``REPRO_NO_VECTORIZE_ENGINE``,
+``REPRO_NO_STEPCACHE``), which pool workers inherit.  See
+``docs/observability.md``, ``docs/regression.md``, ``docs/faults.md``,
+``docs/fleet.md`` and ``docs/lint.md``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import pathlib
 import sys
 
@@ -85,15 +54,6 @@ from repro.core.report import (
 __all__ = ["main"]
 
 
-def _apply_fastpath_flags(args: argparse.Namespace) -> None:
-    """Export fast-path escape hatches to the environment so they reach
-    both this process and any ``--jobs`` pool workers."""
-    if getattr(args, "no_vectorize", False):
-        os.environ["REPRO_NO_VECTORIZE"] = "1"
-    if getattr(args, "no_vectorize_engine", False):
-        os.environ["REPRO_NO_VECTORIZE_ENGINE"] = "1"
-
-
 def _cmd_list(_: argparse.Namespace) -> int:
     for exp_id in list_experiments():
         print(exp_id)
@@ -103,7 +63,6 @@ def _cmd_list(_: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.runner import iter_experiments
 
-    _apply_fastpath_flags(args)
     exp_ids = [e.strip() for e in args.exp_id.split(",") if e.strip()]
     for _, result in iter_experiments(exp_ids, jobs=args.jobs):
         if args.out:
@@ -117,7 +76,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_run_all(args: argparse.Namespace) -> int:
     from repro.runner import iter_experiments
 
-    _apply_fastpath_flags(args)
     failures = []
     for exp_id, result in iter_experiments(list_experiments(), jobs=args.jobs,
                                            return_exceptions=True):
@@ -136,7 +94,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
 def _cmd_summary(args: argparse.Namespace) -> int:
     from repro.runner import run_experiments
 
-    _apply_fastpath_flags(args)
     results = run_experiments(list_experiments(), jobs=args.jobs)
     text = render_summary(results)
     if args.out:
@@ -157,14 +114,6 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
                              "(default $REPRO_JOBS or 1; results merge in a "
                              "fixed order, so output is byte-identical for "
                              "any value)")
-    parser.add_argument("--no-vectorize", action="store_true",
-                        help="disable the vectorized sweep fast path "
-                             "(exported as REPRO_NO_VECTORIZE so pool "
-                             "workers inherit it)")
-    parser.add_argument("--no-vectorize-engine", action="store_true",
-                        help="disable the serving-engine batched decode "
-                             "window (exported as REPRO_NO_VECTORIZE_ENGINE; "
-                             "results are bit-identical either way)")
 
 
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
@@ -321,35 +270,18 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_ids(args: argparse.Namespace, store) -> list[str]:
-    if args.figs:
-        return [f.strip() for f in args.figs.split(",") if f.strip()]
-    if args.check or args.trend:
-        # gate / chart whatever has a recorded baseline
-        known = store.known_ids()
-        if known:
-            return known
-    return list_experiments()
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    import dataclasses
+    from repro.obs.regress import BaselineStore
 
-    from repro.obs.regress import (
-        BaselineStore,
-        Tolerance,
-        compare_fingerprints,
-        first_suspect,
-        measure_disabled_overhead,
-        render_drift_report,
-    )
-
-    if not (args.record or args.check or args.trend):
-        print("bench: choose one of --record / --check / --trend",
-              file=sys.stderr)
+    if not (args.record or args.trend):
+        print("bench: choose one of --record / --trend", file=sys.stderr)
         return 2
     store = BaselineStore(args.dir)
-    ids = _bench_ids(args, store)
+    if args.figs:
+        ids = [f.strip() for f in args.figs.split(",") if f.strip()]
+    else:
+        # record everything; chart whatever has a recorded baseline
+        ids = (args.trend and store.known_ids()) or list_experiments()
 
     if args.trend:
         text = _render_trend(store, ids)
@@ -364,41 +296,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     from repro.runner import iter_experiments
 
-    _apply_fastpath_flags(args)
-    failures = 0
-    all_drifts = []
     for exp_id, result in iter_experiments(ids, jobs=args.jobs):
-        fp = result.fingerprint()
-        if args.record:
-            path = store.record(fp, note=args.note)
-            print(f"[recorded] {exp_id} -> {path}")
-            continue
-        baseline = store.latest_fingerprint(exp_id)
-        if baseline is None:
-            print(f"[no-baseline] {exp_id}: run `repro bench --record` first",
-                  file=sys.stderr)
-            failures += 1
-            continue
-        drifts = compare_fingerprints(baseline, fp, Tolerance())
-        if drifts:
-            suspect = first_suspect(store.latest_sha(exp_id), args.dir)
-            drifts = [dataclasses.replace(d, suspect=suspect) for d in drifts]
-            all_drifts.extend(drifts)
-            print(f"[DRIFT] {exp_id}: {len(drifts)} metric(s)")
-        else:
-            print(f"[ok] {exp_id}")
-    if args.check:
-        if all_drifts:
-            print()
-            print(render_drift_report(all_drifts), file=sys.stderr)
-        if not args.no_overhead:
-            report = measure_disabled_overhead()
-            print(report.describe())
-            if not report.within():
-                print("[FAIL] disabled-instrumentation overhead exceeds the "
-                      "2% band", file=sys.stderr)
-                failures += 1
-    return 1 if (failures or all_drifts) else 0
+        path = store.record(result.fingerprint(), note=args.note)
+        print(f"[recorded] {exp_id} -> {path}")
+    return 0
 
 
 def _render_trend(store, ids: list[str]) -> str:
@@ -423,12 +324,17 @@ def _render_trend(store, ids: list[str]) -> str:
     return "\n".join(lines)
 
 
+def _cmd_gate(_: argparse.Namespace) -> int:
+    from repro.gate import gate
+
+    return gate()
+
+
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults.harness import ChaosConfig, chaos_serving_run
     from repro.faults.invariants import (
         InvariantViolation,
         check_final_invariants,
-        run_digest,
     )
 
     config = ChaosConfig(
@@ -467,22 +373,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     except InvariantViolation as exc:
         print(f"[FAIL] invariant violated: {exc}", file=sys.stderr)
         return 1
-
-    if args.smoke:
-        digest = run_digest(run.result)
-        replay = chaos_serving_run(config)
-        replay_digest = run_digest(replay.result)
-        try:
-            check_final_invariants(replay.result)
-        except InvariantViolation as exc:
-            print(f"[FAIL] replay invariant violated: {exc}", file=sys.stderr)
-            return 1
-        if digest != replay_digest:
-            print(f"[FAIL] same-seed replay diverged:\n  {digest}\n  "
-                  f"{replay_digest}", file=sys.stderr)
-            return 1
-        print(f"[ok] same-seed replay bit-identical ({digest[:16]}…), "
-              "invariants held on both runs")
     return 0
 
 
@@ -490,31 +380,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     import dataclasses
 
     from repro.faults.invariants import InvariantViolation
-    from repro.fleet.harness import (
-        fleet_smoke_digest,
-        smoke_fleet_config,
-        smoke_trace,
-    )
     from repro.fleet.invariants import check_fleet_invariants, fleet_digest
     from repro.fleet.simulator import FleetSimulator
-
-    if args.smoke:
-        # the CI replay gate: two fresh simulators over the canonical
-        # scenario (storm + autoscaler armed) must agree bit-for-bit,
-        # with the invariant audit applied inside each digest call
-        try:
-            first = fleet_smoke_digest(args.policy)
-            second = fleet_smoke_digest(args.policy)
-        except InvariantViolation as exc:
-            print(f"[FAIL] fleet invariant violated: {exc}", file=sys.stderr)
-            return 1
-        if first != second:
-            print(f"[FAIL] same-seed fleet replay diverged:\n  {first}\n  "
-                  f"{second}", file=sys.stderr)
-            return 1
-        print(f"[ok] fleet replay bit-identical ({first[:16]}…), "
-              "invariants held on both runs")
-        return 0
+    from repro.scenarios import smoke_fleet_config, smoke_trace
 
     config = smoke_fleet_config(policy=args.policy,
                                 with_storm=not args.no_storm,
@@ -598,30 +466,13 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         print(f"wrote {path}")
-
-    if args.check:
-        replay = run_slo_scenario(**kwargs)
-        blob = json.dumps(report, sort_keys=True)
-        if blob != json.dumps(replay, sort_keys=True):
-            print("[FAIL] SLO replay diverged from the first run",
-                  file=sys.stderr)
-            return 1
-        if not report["alerts"]:
-            print("[FAIL] fault-storm scenario fired no burn-rate alert",
-                  file=sys.stderr)
-            return 1
-        print(f"[ok] replay byte-identical, {len(report['alerts'])} "
-              "burn-rate alert(s) fired deterministically")
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    import tempfile
-
     from repro.obs.report import (
         render_bundle_report,
         render_run_report,
-        render_scenario_report,
         report_html,
     )
 
@@ -629,15 +480,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if args.bundle:
             return render_bundle_report(args.bundle)
         if args.slo_gate:
-            from repro.obs.slo import fault_storm_config, run_slo_scenario
+            from repro.scenarios import slo_report
 
-            # bundles land in a throwaway dir; only basenames reach the
-            # report, so the output is byte-stable across runs
-            with tempfile.TemporaryDirectory() as tmp:
-                scenario = run_slo_scenario(config=fault_storm_config(),
-                                            out_dir=tmp, cluster=True)
-                return render_scenario_report(scenario,
-                                              bundle_root=pathlib.Path(tmp))
+            return "".join(slo_report()[1])
         from repro.obs.alerts import AlertMonitor
         from repro.obs.harness import clustered_serving_run
         from repro.parallel.plan import ParallelPlan
@@ -653,14 +498,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             result, obs, title=f"Run report: {args.model} ({plan.label})")
 
     report = build()
-    if args.check:
-        replay = build()
-        if report != replay:
-            print("[FAIL] report replay diverged from the first run",
-                  file=sys.stderr)
-            return 1
-        print(f"[ok] report byte-identical across two seeded runs "
-              f"({len(report)} bytes)")
     if args.out:
         path = pathlib.Path(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -671,7 +508,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(report_html(report))
         print(f"wrote {path}")
-    if not args.out and not args.html and not args.check:
+    if not args.out and not args.html:
         print(report, end="")
     return 0
 
@@ -796,13 +633,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench",
-        help="record / check / chart experiment fingerprint baselines",
+        help="record / chart experiment fingerprint baselines",
     )
     p_bench.add_argument("--record", action="store_true",
                          help="append current fingerprints to the baselines")
-    p_bench.add_argument("--check", action="store_true",
-                         help="diff current fingerprints against the "
-                              "baselines; exit 1 on drift")
     p_bench.add_argument("--trend", action="store_true",
                          help="chart recorded fingerprint trajectories")
     p_bench.add_argument("--figs",
@@ -813,12 +647,16 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: repo root)")
     p_bench.add_argument("--note", default="",
                          help="annotation stored with --record")
-    p_bench.add_argument("--no-overhead", action="store_true",
-                         help="skip the disabled-instrumentation overhead "
-                              "gate during --check")
     p_bench.add_argument("--out", help="write the --trend report here")
     _add_runner_args(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
+
+    p_gate = sub.add_parser(
+        "gate",
+        help="replay every scenario in every execution mode and check the "
+             "BENCH baselines (the CI replay gate)",
+    )
+    p_gate.set_defaults(func=_cmd_gate)
 
     p_chaos = sub.add_parser(
         "chaos",
@@ -849,9 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "expert-coverage loss")
     p_chaos.add_argument("--show-schedule", action="store_true",
                          help="print the generated fault schedule")
-    p_chaos.add_argument("--smoke", action="store_true",
-                         help="replay with the same seeds and assert "
-                              "bit-identical digests + invariants (CI gate)")
     p_chaos.set_defaults(func=_cmd_chaos)
 
     p_fleet = sub.add_parser(
@@ -875,10 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="disarm the replica kill/heal storm")
     p_fleet.add_argument("--no-autoscale", action="store_true",
                          help="freeze the fleet at its initial width")
-    p_fleet.add_argument("--smoke", action="store_true",
-                         help="replay the canonical scenario twice and "
-                              "assert bit-identical digests + invariants "
-                              "(CI gate)")
     p_fleet.set_defaults(func=_cmd_fleet)
 
     p_slo = sub.add_parser(
@@ -899,10 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dump flight-recorder bundles here when a "
                             "burn alert fires")
     p_slo.add_argument("--out", help="write the JSON report here")
-    p_slo.add_argument("--check", action="store_true",
-                       help="replay the scenario and assert the report is "
-                            "byte-identical with >=1 burn alert fired "
-                            "(CI gate)")
     p_slo.set_defaults(func=_cmd_slo)
 
     p_report = sub.add_parser(
@@ -939,9 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--out", help="write the markdown report here")
     p_report.add_argument("--html",
                           help="also write an HTML-wrapped copy here")
-    p_report.add_argument("--check", action="store_true",
-                          help="build the report twice and assert the "
-                               "bytes are identical (determinism gate)")
     p_report.set_defaults(func=_cmd_report)
 
     p_prof = sub.add_parser(

@@ -75,8 +75,8 @@ def perf_model(
 
 def vectorize_enabled() -> bool:
     """Whether sweeps may use the vectorized fast path.  The escape hatch
-    is ``--no-vectorize`` on the CLI (exported as ``REPRO_NO_VECTORIZE``
-    so it also reaches parallel-runner workers)."""
+    is ``REPRO_NO_VECTORIZE=1`` in the environment, which parallel-runner
+    workers inherit."""
     return os.environ.get("REPRO_NO_VECTORIZE", "") in ("", "0")
 
 

@@ -1,7 +1,8 @@
 """Canonical chaos runs: one seeded workload + fault schedule + engine.
 
-Shared by the ``repro chaos`` CLI, the ``ext_resilience`` experiment and
-the invariant test suite, so all three exercise the same code path.  A
+Shared by the ``repro chaos`` CLI, the ``chaos`` replay scenario
+(:mod:`repro.scenarios`), the ``ext_resilience`` experiment and the
+invariant test suite, so all of them exercise the same code path.  A
 chaos run is a pure function of its seeds: the same ``(workload seed,
 fault seed)`` pair always produces a bit-identical event log and request
 outcomes (asserted via :func:`repro.faults.invariants.run_digest`).
@@ -30,7 +31,7 @@ from repro.serving.scheduler import SchedulerConfig
 from repro.workloads.generator import FixedShapeWorkload
 
 __all__ = ["ChaosConfig", "ChaosRun", "make_policy", "build_chaos_engine",
-           "chaos_serving_run", "chaos_run_digest"]
+           "chaos_serving_run"]
 
 CHAOS_MODEL = "OLMoE-1B-7B"
 """Default chaos workload model (matches the observability reference)."""
@@ -168,15 +169,3 @@ def chaos_serving_run(config: ChaosConfig | None = None,
     result = engine.run()
     return ChaosRun(result=result, injector=injector,
                     schedule=injector.schedule)
-
-
-def chaos_run_digest(config: ChaosConfig | None = None) -> str:
-    """Serve the canonical chaos workload and return its run digest.
-
-    Module-level (and :class:`ChaosConfig` is a plain frozen dataclass) so
-    replays can run inside multiprocessing pool workers; the determinism
-    suite asserts a worker's digest matches the parent process's.
-    """
-    from repro.faults.invariants import run_digest
-
-    return run_digest(chaos_serving_run(config).result)

@@ -14,15 +14,16 @@ a precise message on the first breach.
   terminal (finished or failed-with-reason), finished requests conserve
   tokens (``kv_tokens == prompt + generated - 1``), and the pool is empty.
 * :func:`run_digest` — a deterministic SHA-256 of the full event log and
-  request outcomes; the determinism regression gate compares two
-  same-seed runs by this digest.
+  request outcomes, hashed from the rows :func:`run_rows` yields; the
+  replay gate (``repro gate``) compares runs by this digest and names the
+  first row that differs.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.serving.kv_cache import PagedKVCache
 from repro.serving.request import Request, RequestState
@@ -35,6 +36,11 @@ __all__ = [
     "check_kv_integrity",
     "check_engine_invariants",
     "check_final_invariants",
+    "float_hex",
+    "event_row",
+    "request_row",
+    "digest_rows",
+    "run_rows",
     "run_digest",
 ]
 
@@ -208,29 +214,51 @@ def check_final_invariants(result: "ServingResult",
 # --------------------------------------------------------------------------- #
 
 
-def _hex(x: float | None) -> str:
+def float_hex(x: float | None) -> str:
+    """``float.hex`` of ``x`` (exact), or ``"None"``."""
     return "None" if x is None else float(x).hex()
 
 
+def event_row(e) -> str:
+    """One event-log entry as the exact text a digest hashes."""
+    return repr((float_hex(e.time), e.type.value, e.request_ids,
+                 e.num_tokens, float_hex(e.duration_s),
+                 float_hex(e.kv_utilization), e.detail))
+
+
+def request_row(r: Request) -> str:
+    """One request outcome as the exact text a digest hashes."""
+    return repr((
+        r.request_id, r.state.value, r.prompt_tokens, r.generated_tokens,
+        r.kv_tokens, float_hex(r.arrival_time),
+        float_hex(r.first_scheduled_time), float_hex(r.first_token_time),
+        float_hex(r.finish_time), r.num_preemptions, r.fault_retries,
+        float_hex(r.retry_time), r.failure_reason,
+    ))
+
+
+def digest_rows(rows: Iterable[str]) -> str:
+    """SHA-256 over ``rows`` in order: the digest of their concatenation."""
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(row.encode())
+    return h.hexdigest()
+
+
+def run_rows(result: "ServingResult") -> Iterator[str]:
+    """The full event log, then every request outcome by id: the rows
+    :func:`run_digest` hashes, with floats as ``float.hex``."""
+    for e in result.log.events:
+        yield event_row(e)
+    for r in sorted(result.requests, key=lambda r: r.request_id):
+        yield request_row(r)
+
+
 def run_digest(result: "ServingResult") -> str:
-    """SHA-256 over the full event log and per-request outcomes.
+    """SHA-256 over :func:`run_rows`.
 
     Floats are hashed via ``float.hex`` so the digest is exact: two runs
-    agree iff they are bit-identical, which is what the determinism
-    regression gate asserts for same-seed replays.
+    agree iff they are bit-identical, which is what the replay gate
+    asserts for same-seed replays.
     """
-    h = hashlib.sha256()
-    for e in result.log.events:
-        h.update(repr((
-            _hex(e.time), e.type.value, e.request_ids, e.num_tokens,
-            _hex(e.duration_s), _hex(e.kv_utilization), e.detail,
-        )).encode())
-    for r in sorted(result.requests, key=lambda r: r.request_id):
-        h.update(repr((
-            r.request_id, r.state.value, r.prompt_tokens, r.generated_tokens,
-            r.kv_tokens, _hex(r.arrival_time), _hex(r.first_scheduled_time),
-            _hex(r.first_token_time), _hex(r.finish_time),
-            r.num_preemptions, r.fault_retries, _hex(r.retry_time),
-            r.failure_reason,
-        )).encode())
-    return h.hexdigest()
+    return digest_rows(run_rows(result))

@@ -14,20 +14,23 @@ checks add what only exists at fleet scope:
   terminated there), and no replica's clock ever moved backwards.
 * **autoscaler bounds** — every control decision left the routable count
   inside ``[min_replicas, max_replicas]``.
-* :func:`fleet_digest` — SHA-256 over every replica's event log, every
-  request outcome, and the full routing/shed/kill/heal/scale history,
-  floats hashed via ``float.hex`` so two runs agree iff they are
-  bit-identical.
+* :func:`fleet_digest` — SHA-256 over the rows :func:`fleet_rows`
+  yields: every replica's event log, every request outcome, and the
+  full routing/kill/heal/scale history, floats hashed via ``float.hex``
+  so two runs agree iff they are bit-identical.
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from repro.faults.invariants import (
     InvariantViolation,
     check_final_invariants,
+    digest_rows,
+    event_row,
+    float_hex,
+    request_row,
 )
 from repro.serving.engine import ServingResult
 from repro.serving.events import EventType
@@ -36,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fleet.autoscaler import AutoscalerConfig
     from repro.fleet.simulator import FleetResult
 
-__all__ = ["check_fleet_invariants", "fleet_digest"]
+__all__ = ["check_fleet_invariants", "fleet_rows", "fleet_digest"]
 
 
 def _violate(message: str) -> None:
@@ -132,39 +135,31 @@ def check_fleet_invariants(
                          f"t={decision.time}")
 
 
-def _hex(x: float | None) -> str:
-    return "None" if x is None else float(x).hex()
+def fleet_rows(result: "FleetResult") -> Iterator[str]:
+    """The rows :func:`fleet_digest` hashes, in order: the policy, each
+    replica's lifecycle and event log, every request outcome, then the
+    routing, kill, heal and scaling history (floats as ``float.hex``)."""
+    yield result.policy
+    for replica in result.replicas:
+        yield repr((replica.replica_id, float_hex(replica.started_at),
+                    float_hex(replica.retired_at), replica.alive,
+                    replica.draining, replica.assigned))
+        for e in replica.engine.log.events:
+            yield event_row(e)
+    for r in result.requests:
+        yield request_row(r)
+    for time, rid, target in result.assignments:
+        yield repr((float_hex(time), rid, target))
+    for time, rid in result.kills:
+        yield repr(("kill", float_hex(time), rid))
+    for time, rid in result.heals:
+        yield repr(("heal", float_hex(time), rid))
+    for d in result.scale_decisions:
+        yield repr((float_hex(d.time), d.action, float_hex(d.occupancy),
+                    float_hex(d.mean_backlog), d.replicas_before,
+                    d.replicas_after))
 
 
 def fleet_digest(result: "FleetResult") -> str:
     """Deterministic SHA-256 of the complete fleet trajectory."""
-    h = hashlib.sha256()
-    h.update(result.policy.encode())
-    for replica in result.replicas:
-        h.update(repr((replica.replica_id, _hex(replica.started_at),
-                       _hex(replica.retired_at), replica.alive,
-                       replica.draining, replica.assigned)).encode())
-        for e in replica.engine.log.events:
-            h.update(repr((
-                _hex(e.time), e.type.value, e.request_ids, e.num_tokens,
-                _hex(e.duration_s), _hex(e.kv_utilization), e.detail,
-            )).encode())
-    for r in result.requests:
-        h.update(repr((
-            r.request_id, r.state.value, r.prompt_tokens,
-            r.generated_tokens, r.kv_tokens, _hex(r.arrival_time),
-            _hex(r.first_scheduled_time), _hex(r.first_token_time),
-            _hex(r.finish_time), r.num_preemptions, r.fault_retries,
-            _hex(r.retry_time), r.failure_reason,
-        )).encode())
-    for time, rid, target in result.assignments:
-        h.update(repr((_hex(time), rid, target)).encode())
-    for time, rid in result.kills:
-        h.update(repr(("kill", _hex(time), rid)).encode())
-    for time, rid in result.heals:
-        h.update(repr(("heal", _hex(time), rid)).encode())
-    for d in result.scale_decisions:
-        h.update(repr((_hex(d.time), d.action, _hex(d.occupancy),
-                       _hex(d.mean_backlog), d.replicas_before,
-                       d.replicas_after)).encode())
-    return h.hexdigest()
+    return digest_rows(fleet_rows(result))

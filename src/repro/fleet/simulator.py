@@ -7,8 +7,8 @@ global time-ordered event stream, advances every live replica's engine to
 each event time, and then lets the admission controller and router act on
 deterministic replica snapshots.
 
-Determinism contract (audited by ``repro fleet --smoke`` and the
-hypothesis suite): the entire run is a pure function of
+Determinism contract (audited by ``repro gate``'s fleet scenarios and
+the hypothesis suite): the entire run is a pure function of
 ``(FleetConfig, request list)`` — replica lists are iterated in id order,
 simultaneous events are ordered (heal < kill < scale tick < arrival,
 then submission sequence), and ties inside policies break by replica id.

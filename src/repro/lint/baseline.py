@@ -3,8 +3,8 @@
 ``LINT_BASELINE.json`` records the violation keys present when the gate
 was last (re-)recorded; ``repro lint --check`` fails only on violations
 *not* in the baseline, so a new rule can land before every legacy finding
-is fixed — mirroring how ``repro bench --check`` gates fingerprint drift
-against its recorded trajectories.  The repo's baseline is kept empty:
+is fixed — mirroring how ``repro gate`` gates fingerprint drift against
+the recorded trajectories.  The repo's baseline is kept empty:
 every finding the four rule families raised has been fixed or given a
 reviewed inline suppression.
 """

@@ -1,12 +1,12 @@
 """Determinism lints (DET0xx).
 
-The whole reproduction is gated on bit-identical replays (fingerprint
-baselines, chaos ``--smoke``), which only holds if simulated results never
-observe the host: no wall clocks, no unseeded RNG, no hash-order
-iteration.  The *wall channel* — the span tracer's wall clock, the
-regression store's timestamps/overhead probe, and the experiment's
-``runtime_s`` stamp — is explicitly allowed to read the host; everything
-else in ``repro`` must not.
+The whole reproduction is gated on bit-identical replays (``repro gate``:
+fingerprint baselines and every scenario of :mod:`repro.scenarios`),
+which only holds if simulated results never observe the host: no wall
+clocks, no unseeded RNG, no hash-order iteration.  The *wall channel* —
+the span tracer's wall clock, the regression store's timestamps/overhead
+probe, and the experiment's ``runtime_s`` stamp — is explicitly allowed
+to read the host; everything else in ``repro`` must not.
 """
 
 from __future__ import annotations

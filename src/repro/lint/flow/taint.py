@@ -12,7 +12,8 @@ These rules close that hole over the call graph:
   bit-identical artifacts: every ``@experiment``-registered function
   (its tables are fingerprinted), the serving engine and its event log
   (chaos/fleet digests replay them), the fleet simulator and digest
-  helpers, and chaos replay itself;
+  helpers, chaos replay itself, and every replay-gate scenario in
+  :mod:`repro.scenarios`;
 * **sanitizers** — the declared wall-channel modules (``obs.trace``,
   ``obs.regress``, ``core.experiment``): their wall readings never reach
   a table or a fingerprint, so taint neither originates in nor
@@ -54,6 +55,7 @@ DIGEST_ROOTS: tuple[str, ...] = (
     "repro.fleet.simulator.FleetSimulator.",
     "repro.fleet.invariants.",
     "repro.faults.harness.",
+    "repro.scenarios.",
 )
 
 #: taint kind -> (flow rule id, local twin whose suppressions carry over)

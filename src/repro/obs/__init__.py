@@ -13,7 +13,7 @@ On top of the pillars sit the continuous-performance tools:
 
 * :mod:`repro.obs.fingerprint` / :mod:`repro.obs.regress` — deterministic
   experiment fingerprints, ``BENCH_<figure>.json`` baselines and drift
-  detection (``repro bench --record/--check/--trend``).
+  detection (``repro bench --record/--trend``; ``repro gate`` checks).
 * :mod:`repro.obs.profile` — cost-attribution profiler folding the span
   stream into per-phase × per-component tables, folded-stack flamegraph
   export and roofline-backed speedup advice (``repro profile``).

@@ -13,9 +13,10 @@ figures, so this module makes the reproduction self-watching:
   changed since the baseline's git sha, intersected with the ``repro``
   modules actually loaded while the experiment ran.
 * :func:`measure_disabled_overhead` is the "<2% when disabled"
-  measurement ``repro bench --check`` gates on.
+  measurement ``repro gate`` checks.
 
-``repro bench --record / --check / --trend`` is the CLI surface.
+``repro bench --record / --trend`` records and charts baselines;
+``repro gate`` (:mod:`repro.gate`) checks them.
 """
 
 from __future__ import annotations

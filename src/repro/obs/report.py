@@ -9,8 +9,8 @@ and a metrics digest.
 Every emitter here is **byte-stable**: numbers render at fixed precision,
 iteration order is explicit, and nothing reads the host clock or
 environment — re-running the same seeded workload must reproduce the
-report byte-for-byte (``repro report --check`` gates on exactly that,
-like ``repro slo --check`` does for the burn-rate scenario).
+report byte-for-byte (``repro gate`` replays the ``--slo-gate`` report
+and the burn-rate scenario's JSON report in every execution mode).
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ classic 30-day-budget policy (page at 14.4x over 1h+5m, ticket at 6x over
 6h+30m) then transfers verbatim.
 
 Everything here is a pure function of the simulated run: reports and
-alert times replay bit-identically, which `repro slo --check` and the
+alert times replay bit-identically, which ``repro gate`` and the
 flight-recorder property tests assert.
 """
 

@@ -1,6 +1,7 @@
 """Deterministic multiprocessing experiment runner.
 
-``repro run --jobs N`` / ``repro bench --jobs N`` fan registered
+``repro run --jobs N`` / ``repro bench --jobs N`` (and ``repro gate``'s
+hash-seed worker) fan registered
 experiments out across worker processes.  The determinism contract:
 
 * **Merge order is fixed.**  Results are always yielded in the caller's
@@ -20,7 +21,7 @@ experiments out across worker processes.  The determinism contract:
   of the pool; it cannot affect results, only speedup.
 
 Workers inherit ``os.environ`` (fork or spawn), so escape hatches such
-as ``REPRO_NO_VECTORIZE`` / ``REPRO_NO_STEPCACHE`` exported by the CLI
+as ``REPRO_NO_VECTORIZE`` / ``REPRO_NO_STEPCACHE`` set in the environment
 apply to every process in the pool.
 """
 

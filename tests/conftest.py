@@ -29,6 +29,25 @@ def repo_lint() -> SimpleNamespace:
                            violations=violations)
 
 
+@pytest.fixture(scope="session")
+def serving_gate(tmp_path_factory) -> SimpleNamespace:
+    """One ``repro gate`` run over the registry's serving scenarios (chaos,
+    fleet under each policy, SLO report, slo-gate report) in all four
+    modes: its exit ``code`` and printed ``out``.  The BENCH scenarios
+    are left to ``repro gate`` itself (37 experiments in four modes)."""
+    import contextlib
+    import io
+
+    from repro.gate import gate
+    from repro.scenarios import registry
+
+    empty = tmp_path_factory.mktemp("no-baselines")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = gate(registry(empty), bench_dir=empty, overhead=False)
+    return SimpleNamespace(code=code, out=out.getvalue())
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

@@ -1,8 +1,10 @@
-"""CLI tests for `repro bench` and `repro profile`.
+"""CLI tests for `repro bench` and `repro profile`, and the replay gate's
+BENCH scenarios.
 
-Uses the cheapest real experiment (fig5) so record/check run the actual
-pipeline end to end; the roofline-perturbation test is the acceptance
-check that a physics change in the perf model is caught and attributed.
+Uses the cheapest real experiment (fig5) so record and the gate run the
+actual pipeline end to end; the roofline-perturbation test is the
+acceptance check that a physics change in the perf model is caught and
+attributed.
 """
 
 from __future__ import annotations
@@ -12,13 +14,21 @@ import json
 import pytest
 
 from repro.core.cli import main
+from repro.gate import gate
 from repro.hardware.gpus import H100_SXM
+from repro.scenarios import Scenario, bench
 
 FIG = "fig5"
 
 
 def _bench(*argv: str) -> int:
     return main(["bench", *argv])
+
+
+def _gate(bench_dir) -> int:
+    """The replay gate over FIG's BENCH scenario, against ``bench_dir``."""
+    return gate([Scenario(f"bench.{FIG}", bench, (FIG,))],
+                bench_dir=bench_dir, overhead=False)
 
 
 @pytest.fixture(scope="module")
@@ -41,9 +51,8 @@ class TestBenchRecordCheck:
         assert record["fingerprint"]["sim"]
 
     def test_check_clean_on_unchanged_tree(self, baseline_dir, capsys):
-        assert _bench("--check", "--figs", FIG, "--dir", str(baseline_dir),
-                      "--no-overhead") == 0
-        assert f"[ok] {FIG}" in capsys.readouterr().out
+        assert _gate(baseline_dir) == 0
+        assert f"[ok] bench.{FIG} " in capsys.readouterr().out
 
     def test_check_fails_on_perturbed_baseline(self, baseline_dir, tmp_path,
                                                capsys):
@@ -54,14 +63,17 @@ class TestBenchRecordCheck:
         key = next(k for k, v in sim.items() if v)
         sim[key] *= 1 + 1e-6
         path.write_text(json.dumps(data))
-        assert _bench("--check", "--figs", FIG, "--dir", str(tmp_path),
-                      "--no-overhead") == 1
-        err = capsys.readouterr().err
-        assert FIG in err and key in err
+        assert _gate(tmp_path) == 1
+        out = capsys.readouterr().out
+        # the first divergent row names the metric on both sides
+        assert f"[FAIL] bench.{FIG}: in-process diverged from baseline" in out
+        rows = [line for line in out.splitlines() if " | " in line]
+        assert len(rows) == 2 and all(key in row for row in rows)
+        assert f"[{FIG}] sim drift in {key}" in out
 
-    def test_check_fails_without_baseline(self, tmp_path):
-        assert _bench("--check", "--figs", FIG, "--dir", str(tmp_path),
-                      "--no-overhead") == 1
+    def test_check_fails_without_baseline(self, tmp_path, capsys):
+        assert _gate(tmp_path) == 1
+        assert f"no BENCH_{FIG}.json baseline" in capsys.readouterr().out
 
     def test_no_mode_is_usage_error(self, tmp_path):
         assert _bench("--dir", str(tmp_path)) == 2
@@ -84,18 +96,20 @@ class TestRooflinePerturbation:
         old = H100_SXM.mem_bandwidth_gbps
         object.__setattr__(H100_SXM, "mem_bandwidth_gbps", old * 1.05)
         try:
-            code = _bench("--check", "--figs", FIG, "--dir",
-                          str(baseline_dir), "--no-overhead")
+            code = _gate(baseline_dir)
         finally:
             object.__setattr__(H100_SXM, "mem_bandwidth_gbps", old)
         assert code == 1
-        err = capsys.readouterr().err
-        assert f"[{FIG}]" in err
-        assert "sim drift" in err
+        out = capsys.readouterr().out
+        assert f"[{FIG}]" in out
+        assert "sim drift" in out
+        # the spawned workers keep the stock bandwidth, so they disagree
+        # with the patched in-process runs too
+        assert "worker, fast paths off, one CPU diverged from in-process" \
+            in out
 
     def test_gate_clean_again_after_restore(self, baseline_dir):
-        assert _bench("--check", "--figs", FIG, "--dir", str(baseline_dir),
-                      "--no-overhead") == 0
+        assert _gate(baseline_dir) == 0
 
 
 class TestProfileCommand:

@@ -1,4 +1,4 @@
-"""CLI tests for the ``repro chaos`` subcommand."""
+"""CLI tests for the ``repro chaos`` subcommand, and its replay gate."""
 
 from __future__ import annotations
 
@@ -26,11 +26,11 @@ def test_chaos_show_schedule_prints_events(capsys):
     assert "t=" in out
 
 
-def test_chaos_smoke_gate_passes(capsys):
-    assert main(["chaos", *FAST, "--fault-seed", "2", "--smoke"]) == 0
-    out = capsys.readouterr().out
-    assert "same-seed replay bit-identical" in out
-    assert "invariants held" in out
+def test_chaos_smoke_gate_passes(serving_gate):
+    """The chaos scenario replays bit-identically in all four gate modes
+    with its final invariants holding."""
+    assert serving_gate.code == 0
+    assert "[ok] chaos 6a07e58cd5f30c6f… (4 modes)" in serving_gate.out
 
 
 def test_chaos_failfast_policy_reports_failures(capsys):

@@ -1,4 +1,4 @@
-"""CLI tests for the ``repro fleet`` subcommand."""
+"""CLI tests for the ``repro fleet`` subcommand, and its replay gate."""
 
 from __future__ import annotations
 
@@ -19,17 +19,17 @@ def test_fleet_runs_and_reports(capsys):
     assert "digest:" in out
 
 
-def test_fleet_smoke_gate_passes(capsys):
-    assert main(["fleet", "--smoke"]) == 0
-    out = capsys.readouterr().out
-    assert "fleet replay bit-identical" in out
-    assert "invariants held" in out
+def test_fleet_smoke_gate_passes(serving_gate):
+    """The canonical fleet scenario replays bit-identically in all four
+    gate modes with the fleet invariants holding."""
+    assert serving_gate.code == 0
+    assert "[ok] fleet.prefix_affinity d0d1d4658ff941b3… (4 modes)" \
+        in serving_gate.out
 
 
-def test_fleet_smoke_gate_covers_every_policy(capsys):
+def test_fleet_smoke_gate_covers_every_policy(serving_gate):
     for policy in ("round_robin", "least_kv"):
-        assert main(["fleet", "--smoke", "--policy", policy]) == 0
-        assert "bit-identical" in capsys.readouterr().out
+        assert f"[ok] fleet.{policy} " in serving_gate.out
 
 
 def test_fleet_quiet_run_has_no_kills(capsys):

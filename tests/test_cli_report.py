@@ -34,10 +34,12 @@ class TestReportCommand:
         assert html.startswith("<!DOCTYPE html>")
         assert "Device occupancy" in html
 
-    def test_check_gate_is_byte_stable(self, capsys):
-        assert main(["report", *FAST, "--check"]) == 0
-        out = capsys.readouterr().out
-        assert "byte-identical" in out
+    def test_check_gate_is_byte_stable(self, serving_gate):
+        """The ``--slo-gate`` report replays byte-identically in all four
+        gate modes."""
+        assert serving_gate.code == 0
+        assert "[ok] slo_report f74bc64c365aac79… (4 modes)" \
+            in serving_gate.out
 
     def test_single_device_plan_degrades(self, capsys):
         assert main(["report", *FAST, "--tp", "1", "--ep", "1"]) == 0

@@ -21,11 +21,11 @@ class TestSloCommand:
         assert "budget consumed" in out
         assert "[page] slo_burn_" in out
 
-    def test_check_gate_replays_byte_identical(self, capsys):
-        assert main(["slo", "--check"]) == 0
-        out = capsys.readouterr().out
-        assert "replay byte-identical" in out
-        assert "fired deterministically" in out
+    def test_check_gate_replays_byte_identical(self, serving_gate):
+        """The SLO report replays byte-identically in all four gate modes
+        (the scenario fails unless a page fires)."""
+        assert serving_gate.code == 0
+        assert "[ok] slo bcf70e1014c78b22… (4 modes)" in serving_gate.out
 
     def test_out_writes_deterministic_json(self, capsys, tmp_path):
         path = tmp_path / "slo.json"

@@ -9,10 +9,10 @@ Two layers, matching the two reproducibility gates the repo ships:
   same workload seed and fault seed must be bit-identical down to the
   event log (``run_digest`` hashes every float via ``float.hex``).
 
-These are the in-tree counterparts of ``repro bench --check`` and
-``repro chaos --smoke``: cross-*run* drift is caught by the recorded
-BENCH baselines; cross-*call* nondeterminism (unordered dicts, shared
-RNG state, time-dependent code) is caught here.
+These are the in-tree counterparts of ``repro gate``'s BENCH and chaos
+scenarios: cross-*run* drift is caught by the recorded BENCH baselines;
+cross-*call* nondeterminism (unordered dicts, shared RNG state,
+time-dependent code) is caught here.
 """
 
 from __future__ import annotations
@@ -65,28 +65,28 @@ class TestChaosReplay:
 
 
 class TestFleetReplay:
-    """The fleet counterpart of the chaos layer: the canonical smoke
+    """The fleet counterpart of the chaos layer: the canonical fleet
     scenario (replica storm + autoscaler armed) must replay to the same
-    ``fleet_digest`` in-process and across worker processes — the
-    in-tree twin of ``repro fleet --smoke``."""
+    digest and rows in-process and across worker processes."""
 
     def test_killed_replica_storm_replays_bit_identically(self):
-        from repro.fleet.harness import fleet_smoke_digest, fleet_smoke_run
+        from repro.fleet.simulator import FleetSimulator
+        from repro.scenarios import fleet, smoke_fleet_config, smoke_trace
 
-        assert fleet_smoke_run().num_kills >= 1, \
+        result = FleetSimulator(smoke_fleet_config()).run(smoke_trace())
+        assert result.num_kills >= 1, \
             "the smoke storm must actually kill a replica"
-        assert fleet_smoke_digest() == fleet_smoke_digest()
+        assert fleet() == fleet()
 
     def test_fleet_digest_identical_across_processes(self):
         from concurrent.futures import ProcessPoolExecutor
 
-        from repro.fleet.harness import fleet_smoke_digest
         from repro.runner import _pool_context
+        from repro.scenarios import fleet
 
-        parent = fleet_smoke_digest("prefix_affinity")
+        parent = fleet("prefix_affinity")
         with ProcessPoolExecutor(max_workers=2,
                                  mp_context=_pool_context()) as pool:
-            workers = [pool.submit(fleet_smoke_digest,
-                                   "prefix_affinity").result()
+            workers = [pool.submit(fleet, "prefix_affinity").result()
                        for _ in range(2)]
         assert workers == [parent, parent]

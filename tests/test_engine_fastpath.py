@@ -217,17 +217,17 @@ class TestFaultAndFleetEquivalence:
     @pytest.mark.parametrize("policy",
                              ["round_robin", "least_kv", "prefix_affinity"])
     def test_fleet_digest_both_modes(self, policy):
-        """The canonical fleet smoke scenario (diurnal trace, replica
-        storm, autoscaler) replays to one digest in both modes —
+        """The canonical fleet scenario (diurnal trace, replica storm,
+        autoscaler) replays to one digest in both modes —
         ``Replica.advance_to`` is the horizon-bounded window consumer."""
-        from repro.fleet.harness import fleet_smoke_digest
+        from repro.scenarios import fleet
 
         stepcache.clear()
         with _engine_mode(True):
-            fast = fleet_smoke_digest(policy)
+            fast = fleet(policy)
         stepcache.clear()
         with _engine_mode(False):
-            scalar = fleet_smoke_digest(policy)
+            scalar = fleet(policy)
         assert fast == scalar
 
 

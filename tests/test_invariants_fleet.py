@@ -33,12 +33,12 @@ from repro.faults.invariants import InvariantViolation
 from repro.faults.schedule import replica_storm
 from repro.fleet.admission import AdmissionConfig
 from repro.fleet.autoscaler import AutoscalerConfig
-from repro.fleet.harness import fleet_smoke_run, smoke_fleet_config
 from repro.fleet.invariants import check_fleet_invariants, fleet_digest
 from repro.fleet.router import ROUTER_POLICIES
 from repro.fleet.simulator import FleetConfig, FleetSimulator
 from repro.fleet.traffic import DiurnalSpec, TemplateMix, diurnal_arrivals, \
     synthesize_requests
+from repro.scenarios import smoke_fleet_config, smoke_trace
 from repro.workloads.generator import LengthDistribution
 
 # Fixed-seed profile: derandomize makes hypothesis draw the same example
@@ -251,14 +251,14 @@ class TestFleetReplay:
 class TestSmokeScenario:
     def test_smoke_run_passes_full_audit(self):
         config = smoke_fleet_config()
-        result = fleet_smoke_run()
+        result = FleetSimulator(config).run(smoke_trace())
         check_fleet_invariants(result, config.autoscaler)
         assert result.num_kills >= 1, "the storm must land at least one kill"
         assert result.heals, "the storm must land at least one heal"
         assert result.kv_hits > 0, "templated smoke traffic must hit"
 
     def test_audit_rejects_doctored_runs(self):
-        result = fleet_smoke_run()
+        result = FleetSimulator(smoke_fleet_config()).run(smoke_trace())
         # claim a finished request was *also* shed: the conservation audit
         # must see the double-termination
         victim = next(r for r in result.requests if r.is_finished)

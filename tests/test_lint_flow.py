@@ -198,6 +198,25 @@ class TestDeterminismTaint:
         assert [v.rule for v in vs] == ["DET101"]
         assert "repro.exp.run -> repro.util_b.stamp_b" in vs[0].message
 
+    @pytest.mark.parametrize("module, caught", [
+        ("src/repro/scenarios.py", True),
+        ("src/repro/unregistered.py", False),
+    ])
+    def test_scenario_body_is_a_root(self, tmp_path, module, caught):
+        """A wall-clock read inside a replay scenario reaches its digest;
+        the same body outside the scenario module reaches none."""
+        project = make_project(tmp_path, {module: """
+            import time
+
+            def chaos(fault_seed=0):
+                rows = [repr((fault_seed, time.time()))]
+                return rows[0], rows
+        """})
+        vs = run_lint(tmp_path, rules=[get_rule("DET101")], project=project)
+        assert [v.rule for v in vs] == (["DET101"] if caught else [])
+        if caught:
+            assert vs[0].path == module and "time.time" in vs[0].snippet
+
     def test_wall_channel_sanitizes_source_and_path(self, tmp_path):
         project = make_project(tmp_path, {
             # source inside a wall-channel module: by-design, not taint

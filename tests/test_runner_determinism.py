@@ -32,15 +32,13 @@ class TestByteStability:
     def test_chaos_replay_identical_across_processes(self):
         from concurrent.futures import ProcessPoolExecutor
 
-        from repro.faults.harness import ChaosConfig, chaos_run_digest
         from repro.runner import _pool_context
+        from repro.scenarios import chaos
 
-        config = ChaosConfig(num_requests=8, horizon_s=2.0)
-        parent = chaos_run_digest(config)
+        parent = chaos(fault_seed=3)
         with ProcessPoolExecutor(max_workers=2,
                                  mp_context=_pool_context()) as pool:
-            workers = [pool.submit(chaos_run_digest, config).result()
-                       for _ in range(2)]
+            workers = [pool.submit(chaos, 3).result() for _ in range(2)]
         assert workers == [parent, parent]
 
 

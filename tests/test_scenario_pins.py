@@ -11,9 +11,6 @@ moves a simulated number moves its pin on purpose.
 from __future__ import annotations
 
 import hashlib
-import json
-import pathlib
-import tempfile
 
 import pytest
 
@@ -30,37 +27,33 @@ SLO = "bcf70e1014c78b22cdba743405b06804af42af43bf64041b82ac79c0523b67a5"
 SLO_REPORT = "f74bc64c365aac792beaeb8705d858aa2b0f9f4543aa342850973774619244fc"
 
 
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+def _pinned(outcome, pin: str) -> bool:
+    """The digest matches its pin and is the SHA-256 of the rows."""
+    digest, rows = outcome
+    return digest == pin == \
+        hashlib.sha256("".join(rows).encode()).hexdigest()
 
 
 def test_chaos_digest_pinned():
-    from repro.faults.harness import ChaosConfig, chaos_run_digest
+    from repro.scenarios import chaos
 
-    assert chaos_run_digest(ChaosConfig(num_requests=8)) == CHAOS
+    assert _pinned(chaos(), CHAOS)
 
 
 @pytest.mark.parametrize("policy", sorted(FLEET))
 def test_fleet_digest_pinned(policy):
-    from repro.fleet.harness import fleet_smoke_digest
+    from repro.scenarios import fleet
 
-    assert fleet_smoke_digest(policy) == FLEET[policy]
+    assert _pinned(fleet(policy), FLEET[policy])
 
 
 def test_slo_report_json_pinned():
-    from repro.obs.slo import fault_storm_config, run_slo_scenario
+    from repro.scenarios import slo
 
-    report = run_slo_scenario(config=fault_storm_config())
-    assert _sha(json.dumps(report, indent=2, sort_keys=True) + "\n") == SLO
+    assert _pinned(slo(), SLO)
 
 
 def test_slo_gate_markdown_pinned():
-    from repro.obs.report import render_scenario_report
-    from repro.obs.slo import fault_storm_config, run_slo_scenario
+    from repro.scenarios import slo_report
 
-    with tempfile.TemporaryDirectory() as tmp:
-        scenario = run_slo_scenario(config=fault_storm_config(),
-                                    out_dir=tmp, cluster=True)
-        text = render_scenario_report(scenario,
-                                      bundle_root=pathlib.Path(tmp))
-    assert _sha(text) == SLO_REPORT
+    assert _pinned(slo_report(), SLO_REPORT)
