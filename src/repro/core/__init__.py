@@ -1,1 +1,63 @@
 """The benchmarking suite core: metrics, experiments, registry, reports, CLI."""
+
+from repro.core.charts import bar_chart, heatmap, line_chart
+from repro.core.experiment import ExperimentResult, Sweep, sweep
+from repro.core.metrics import (
+    GenerationShape,
+    InferenceMetrics,
+    itl_eq1,
+    throughput_eq2,
+)
+from repro.core.registry import (
+    experiment,
+    get_experiment,
+    list_experiments,
+    run_experiment,
+)
+from repro.core.report import render_markdown, render_summary, write_report
+from repro.core.results import ResultTable
+
+__all__ = [
+    "Candidate",
+    "DeploymentTarget",
+    "Recommendation",
+    "advise",
+    "bar_chart",
+    "heatmap",
+    "line_chart",
+    "ExperimentResult",
+    "Sweep",
+    "sweep",
+    "GenerationShape",
+    "InferenceMetrics",
+    "itl_eq1",
+    "throughput_eq2",
+    "experiment",
+    "get_experiment",
+    "list_experiments",
+    "run_experiment",
+    "render_markdown",
+    "render_summary",
+    "write_report",
+    "ResultTable",
+]
+
+# the advisor consumes the performance model, which itself imports
+# repro.core.metrics — load it lazily (PEP 562) to keep imports acyclic
+_LAZY = {
+    "Candidate": "repro.core.advisor",
+    "DeploymentTarget": "repro.core.advisor",
+    "Recommendation": "repro.core.advisor",
+    "advise": "repro.core.advisor",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        import importlib
+
+        module = importlib.import_module(_LAZY[name])
+        value = getattr(module, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

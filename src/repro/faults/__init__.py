@@ -23,3 +23,39 @@ This package adds that robustness layer:
 Everything is default-off: an engine without an armed injector is
 bit-identical to the pre-fault engine.
 """
+
+from repro.faults.injector import ClusterHealth, FaultDomain, FaultInjector
+from repro.faults.invariants import (
+    InvariantViolation,
+    check_engine_invariants,
+    check_final_invariants,
+    check_kv_integrity,
+    run_digest,
+)
+from repro.faults.policies import (
+    DegradePolicy,
+    FailFastPolicy,
+    RecoveryDecision,
+    RecoveryPolicy,
+    RetryPolicy,
+)
+from repro.faults.schedule import FaultEvent, FaultKind, FaultSchedule
+
+__all__ = [
+    "FaultEvent",
+    "FaultKind",
+    "FaultSchedule",
+    "RecoveryDecision",
+    "RecoveryPolicy",
+    "RetryPolicy",
+    "FailFastPolicy",
+    "DegradePolicy",
+    "ClusterHealth",
+    "FaultDomain",
+    "FaultInjector",
+    "InvariantViolation",
+    "check_engine_invariants",
+    "check_final_invariants",
+    "check_kv_integrity",
+    "run_digest",
+]

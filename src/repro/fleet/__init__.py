@@ -10,3 +10,56 @@ function of ``(FleetConfig, trace)`` — see
 :func:`repro.fleet.invariants.fleet_digest` for the replay contract and
 ``docs/fleet.md`` for the knobs.
 """
+
+from repro.fleet.admission import (
+    AdmissionConfig,
+    AdmissionController,
+    AdmissionDecision,
+)
+from repro.fleet.autoscaler import Autoscaler, AutoscalerConfig, ScaleDecision
+from repro.fleet.invariants import check_fleet_invariants, fleet_digest
+from repro.fleet.replica import Replica
+from repro.fleet.router import (
+    ROUTER_POLICIES,
+    LeastLoadedKVRouter,
+    PrefixAffinityRouter,
+    RoundRobinRouter,
+    Router,
+    make_router,
+)
+from repro.fleet.simulator import FleetConfig, FleetResult, FleetSimulator
+from repro.fleet.traffic import (
+    DiurnalSpec,
+    TemplateMix,
+    diurnal_arrivals,
+    diurnal_rate,
+    synthesize_requests,
+    template_block_hashes,
+)
+
+__all__ = [
+    "AdmissionConfig",
+    "AdmissionController",
+    "AdmissionDecision",
+    "Autoscaler",
+    "AutoscalerConfig",
+    "ScaleDecision",
+    "check_fleet_invariants",
+    "fleet_digest",
+    "Replica",
+    "ROUTER_POLICIES",
+    "Router",
+    "RoundRobinRouter",
+    "LeastLoadedKVRouter",
+    "PrefixAffinityRouter",
+    "make_router",
+    "FleetConfig",
+    "FleetResult",
+    "FleetSimulator",
+    "DiurnalSpec",
+    "TemplateMix",
+    "diurnal_rate",
+    "diurnal_arrivals",
+    "template_block_hashes",
+    "synthesize_requests",
+]

@@ -81,12 +81,14 @@ def _spawn(scenarios: Sequence[Scenario], env: dict[str, str], jobs: int,
 
 def _worker() -> None:
     """A spawned worker: scenarios in on stdin, outcomes pickled out on
-    stdout (whatever the scenarios print goes to stderr)."""
+    stdout.  Every other write to fd 1, native code's and child
+    processes' included, goes to stderr."""
     scenarios, jobs, one_cpu = pickle.load(sys.stdin.buffer)
     if one_cpu and hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    out, sys.stdout = sys.stdout.buffer, sys.stderr
-    pickle.dump(replay(scenarios, jobs), out)
+    with os.fdopen(os.dup(1), "wb") as out:
+        os.dup2(2, 1)
+        pickle.dump(replay(scenarios, jobs), out)
 
 
 def _collect(proc: subprocess.Popen,
@@ -181,20 +183,23 @@ def _check(s: Scenario, runs: dict[str, dict[str, Outcome | str]], store,
 
 
 def gate(scenarios: Sequence[Scenario] | None = None,
-         bench_dir: str | os.PathLike = ".", overhead: bool = True) -> int:
+         bench_dir: str | os.PathLike = ".") -> int:
     """Replay ``scenarios`` (default: the whole registry) in every mode:
-    0 when all agree and match their baselines, else 1."""
+    0 when all agree and match their baselines, else 1 (2 when a fast
+    path is already switched off, so no mode would run it)."""
     from repro.obs.regress import BaselineStore, measure_disabled_overhead
 
+    off = [k for k in FAST_PATHS_OFF if os.environ.get(k, "") not in ("", "0")]
+    if off:
+        print(f"[FAIL] {', '.join(off)} set: the gate switches the fast "
+              "paths off itself, in its last mode only; unset it first")
+        return 2
     scenarios = registry(bench_dir) if scenarios is None else list(scenarios)
-    failed = False
-    if overhead:
-        report = measure_disabled_overhead()
-        print(report.describe())
-        if not report.within():
-            print("[FAIL] disabled-instrumentation overhead exceeds the 2% "
-                  "band")
-            failed = True
+    report = measure_disabled_overhead()
+    print(report.describe())
+    failed = not report.within()
+    if failed:
+        print("[FAIL] disabled-instrumentation overhead exceeds the 2% band")
     seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
     workers = [
         (f"worker, PYTHONHASHSEED={seed}, pool of 2",

@@ -108,14 +108,14 @@ def smoke_trace(num_requests: int = 96,
     )
 
 
-def fleet(policy: str = "prefix_affinity", seed: int = SMOKE_SEED) -> Outcome:
+def fleet(policy: str = "prefix_affinity") -> Outcome:
     """The canonical fleet scenario under ``policy``, with the fleet
     invariants (autoscaler bounds included) checked."""
     from repro.fleet.invariants import check_fleet_invariants, fleet_rows
     from repro.fleet.simulator import FleetSimulator
 
     config = smoke_fleet_config(policy)
-    result = FleetSimulator(config).run(smoke_trace(seed=seed))
+    result = FleetSimulator(config).run(smoke_trace())
     check_fleet_invariants(result, config.autoscaler)
     return _outcome(fleet_rows(result))
 

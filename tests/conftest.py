@@ -44,7 +44,7 @@ def serving_gate(tmp_path_factory) -> SimpleNamespace:
     empty = tmp_path_factory.mktemp("no-baselines")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = gate(registry(empty), bench_dir=empty, overhead=False)
+        code = gate(registry(empty), bench_dir=empty)
     return SimpleNamespace(code=code, out=out.getvalue())
 
 

@@ -29,6 +29,14 @@ def steady() -> tuple[str, list[str]]:
     return _outcome(["steady\n", repr(("ttft", float_hex(0.125)))])
 
 
+def noisy_stdout() -> tuple[str, list[str]]:
+    """No defect, but writes straight to file descriptor 1, as native
+    code or a child process may: a worker's pickled outcomes must not
+    take the bytes in."""
+    os.write(1, b"noise on fd 1\n")
+    return steady()
+
+
 def warm_cache_drift() -> tuple[str, list[str]]:
     """A memo that hands back a rounded value once warm: the second
     in-process run differs from the first."""

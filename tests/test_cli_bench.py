@@ -28,7 +28,7 @@ def _bench(*argv: str) -> int:
 def _gate(bench_dir) -> int:
     """The replay gate over FIG's BENCH scenario, against ``bench_dir``."""
     return gate([Scenario(f"bench.{FIG}", bench, (FIG,))],
-                bench_dir=bench_dir, overhead=False)
+                bench_dir=bench_dir)
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,6 @@
 """The replay gate catches each planted fault and names where it shows.
 
-One gate run replays a control scenario and five planted defects (see
+One gate run replays two control scenarios and five planted defects (see
 ``tests/gate_plants.py``) in all four modes; each test reads its own
 part of the printed verdict.  A perturbed BENCH baseline is planted in
 ``tests/test_cli_bench.py``, and the registry's own scenarios are gated
@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.faults.harness import ChaosConfig
-from repro.gate import first_divergence, gate
+from repro.gate import FAST_PATHS_OFF, first_divergence, gate
 from repro.scenarios import Scenario, registry, slo
 from tests import gate_plants
 
@@ -31,6 +31,7 @@ def planted(tmp_path_factory) -> SimpleNamespace:
     calm = ChaosConfig(num_requests=8, fault_rate=0.5, horizon_s=0.5)
     scenarios = [
         Scenario("steady", gate_plants.steady),
+        Scenario("noisy", gate_plants.noisy_stdout),
         Scenario("warm_cache", gate_plants.warm_cache_drift),
         Scenario("set_order", gate_plants.set_order_leak),
         Scenario("scalar_flip", gate_plants.scalar_bit_flip),
@@ -39,8 +40,7 @@ def planted(tmp_path_factory) -> SimpleNamespace:
     ]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = gate(scenarios, bench_dir=tmp_path_factory.mktemp("none"),
-                    overhead=False)
+        code = gate(scenarios, bench_dir=tmp_path_factory.mktemp("none"))
     return SimpleNamespace(code=code, out=out.getvalue())
 
 
@@ -57,10 +57,29 @@ def _block(text: str, name: str) -> str:
     return "\n".join(keep)
 
 
-def test_gate_fails_on_plants_and_passes_the_control(planted):
+def test_gate_fails_on_plants_and_passes_the_controls(planted):
     assert planted.code == 1
     assert "[ok] steady " in planted.out
-    assert "gate: 1/6 scenarios agree in 4 modes" in planted.out
+    assert "gate: 2/7 scenarios agree in 4 modes" in planted.out
+
+
+def test_worker_output_on_fd_1_leaves_its_outcomes_intact(planted):
+    assert "[ok] noisy " in planted.out
+
+
+@pytest.mark.parametrize("var", sorted(FAST_PATHS_OFF))
+def test_gate_refuses_to_run_with_a_fast_path_already_off(monkeypatch,
+                                                          capsys, var):
+    # every mode would take the scalar path, so the scalar-only flip
+    # would pass unseen; the gate refuses before it replays anything
+    def popen(*args, **kwargs):
+        raise AssertionError("the gate spawned a worker")
+
+    monkeypatch.setattr("subprocess.Popen", popen)
+    monkeypatch.setenv(var, "1")
+    assert gate([Scenario("scalar_flip", gate_plants.scalar_bit_flip)]) == 2
+    out = capsys.readouterr().out
+    assert f"[FAIL] {var} set" in out and "[ok]" not in out
 
 
 def test_second_in_process_run_named_with_its_row(planted):
@@ -116,8 +135,7 @@ def test_workers_are_reaped_when_the_gate_is_interrupted(monkeypatch):
     monkeypatch.setattr(subprocess, "Popen", popen)
     monkeypatch.setattr(gate_plants, "ABORT", True)
     with pytest.raises(KeyboardInterrupt):
-        gate([Scenario("interrupted", gate_plants.interrupted)],
-             overhead=False)
+        gate([Scenario("interrupted", gate_plants.interrupted)])
     assert len(spawned) == 2
     assert all(proc.returncode is not None for proc in spawned)
 
