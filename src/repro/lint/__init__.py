@@ -9,8 +9,11 @@ Rule families, all AST-based (nothing executes):
 * **REG0xx** registry drift: experiments ↔ BENCH baselines ↔
   EXPERIMENTS.md ↔ CLI surface;
 * **OBS0xx** observability conventions and **SUP001** stale suppressions;
-* **DET1xx / UNIT1xx** the whole-program flow analyses of
-  :mod:`repro.lint.flow`.
+* **UNIT1xx** units across call boundaries, over the whole-program call
+  graph of :mod:`repro.lint.flow`.
+
+Determinism reached through calls is not linted: ``repro gate`` replays
+every digest-bearing scenario and names the first divergent row.
 
 Entry points: ``repro lint`` (CLI, the CI gate) and :func:`run_lint`
 (programmatic).  See ``docs/lint.md``.

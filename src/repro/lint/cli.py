@@ -14,7 +14,6 @@ import sys
 from repro.lint.baseline import Baseline
 from repro.lint.core import LintProject, run_lint, select_rules
 from repro.lint.flow import engine as flow_engine
-from repro.lint.flow.graph import to_dot, to_json_doc
 from repro.lint.reporters import render_json, render_rule_catalog, render_text
 
 __all__ = ["add_lint_parser", "cmd_lint"]
@@ -46,11 +45,6 @@ def add_lint_parser(sub: "argparse._SubParsersAction") -> None:
                    help="re-record the baseline from the current findings")
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule catalog and exit")
-    p.add_argument("--graph", action="store_true",
-                   help="export the interprocedural call graph (taint "
-                        "paths highlighted) instead of a violation report")
-    p.add_argument("--graph-format", choices=("dot", "json"), default="dot",
-                   help="call-graph export format (default: dot)")
     p.add_argument("--no-cache", action="store_true",
                    help="ignore and do not write the incremental flow "
                         "cache (.lint_cache/); results are identical, "
@@ -68,24 +62,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
               f"(no src/repro)", file=sys.stderr)
         return 2
     flow_engine.configure(cache=not args.no_cache)
-
-    if args.graph:
-        from repro.lint.flow.taint import taint_report
-        project = LintProject(root)
-        program = flow_engine.program_for(project)
-        taint = taint_report(program, project)
-        text = (to_dot(program, taint) if args.graph_format == "dot"
-                else to_json_doc(program, taint))
-        if args.out:
-            out = pathlib.Path(args.out)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(text)
-            print(f"wrote {out} ({program.stats['functions']} functions, "
-                  f"{program.stats['edges']} edges, "
-                  f"{len(taint.findings)} taint path(s))")
-        else:
-            print(text, end="")
-        return 0
 
     try:
         rules = select_rules(args.rules)

@@ -92,7 +92,7 @@ class SourceFile:
     """One parsed python source file plus its simlint comment directives.
 
     The module tree is walked once (:attr:`nodes`); facts derived from
-    it (import aliases, determinism hits, declared units) are computed
+    it (import aliases, resolved calls, declared units) are computed
     once per file through :func:`per_file` and shared by every rule and
     the flow summarizer.
     """
@@ -308,7 +308,7 @@ def _ensure_loaded() -> None:
         suppressions,
         units,
     )
-    from repro.lint.flow import taint, unitflow  # noqa: F401
+    from repro.lint.flow import unitflow  # noqa: F401
 
 
 def all_rules() -> list[Rule]:

@@ -25,8 +25,7 @@ from repro.lint.core import (
     resolve_call,
 )
 
-__all__ = ["WallClockRule", "UnseededRngRule", "SetIterationRule",
-           "iter_wall_hits", "iter_rng_hits", "iter_set_order_hits"]
+__all__ = ["WallClockRule", "UnseededRngRule", "SetIterationRule"]
 
 #: the wall channel: code whose *job* is to observe the host.  Everything
 #: here is excluded from sim-determinism checks by design — its readings
@@ -67,9 +66,6 @@ _STDLIB_RANDOM_FNS = {
 }
 
 
-Hits = tuple[tuple[ast.AST, str], ...]
-
-
 @per_file
 def _resolved_calls(sf: SourceFile) -> tuple[tuple[ast.Call, str], ...]:
     """(call node, import-resolved callee) for every call with a dotted
@@ -84,18 +80,6 @@ def _resolved_calls(sf: SourceFile) -> tuple[tuple[ast.Call, str], ...]:
     return tuple(calls)
 
 
-@per_file
-def iter_wall_hits(sf: SourceFile) -> Hits:
-    """(call node, resolved name) for every wall-clock read in the file.
-
-    Shared between DET001 (local rule) and the interprocedural taint
-    summarizer (:mod:`repro.lint.flow.summary`), so both see exactly the
-    same sources.
-    """
-    return tuple((node, name) for node, name in _resolved_calls(sf)
-                 if name in _WALL_CALLS)
-
-
 def _is_rng_hit(node: ast.Call, name: str) -> bool:
     if name in ("numpy.random.default_rng", "random.Random"):
         return not node.args and not node.keywords
@@ -104,14 +88,6 @@ def _is_rng_hit(node: ast.Call, name: str) -> bool:
     if name.startswith("random."):
         return name.rsplit(".", 1)[1] in _STDLIB_RANDOM_FNS
     return False
-
-
-@per_file
-def iter_rng_hits(sf: SourceFile) -> Hits:
-    """(call node, resolved name) for every unseeded / process-global RNG
-    use in the file (shared with the flow summarizer like DET001)."""
-    return tuple((node, name) for node, name in _resolved_calls(sf)
-                 if _is_rng_hit(node, name))
 
 
 @register_rule
@@ -127,7 +103,9 @@ class WallClockRule(Rule):
     exclude = WALL_CHANNEL
 
     def check(self, sf: SourceFile) -> Iterator[Violation]:
-        for node, name in iter_wall_hits(sf):
+        for node, name in _resolved_calls(sf):
+            if name not in _WALL_CALLS:
+                continue
             yield sf.violation(
                 self, node,
                 f"{name}() reads the host clock; simulated code must "
@@ -148,7 +126,9 @@ class UnseededRngRule(Rule):
     include = ("src/repro",)
 
     def check(self, sf: SourceFile) -> Iterator[Violation]:
-        for node, name in iter_rng_hits(sf):
+        for node, name in _resolved_calls(sf):
+            if not _is_rng_hit(node, name):
+                continue
             if name in ("numpy.random.default_rng", "random.Random"):
                 yield sf.violation(
                     self, node,
@@ -200,10 +180,9 @@ def _is_set_expr(node: ast.AST) -> bool:
     return False
 
 
-@per_file
-def iter_set_order_hits(sf: SourceFile) -> Hits:
-    """(node, description) for every hash-order set iteration in the file
-    (shared between DET003 and the flow summarizer)."""
+def _set_order_hits(sf: SourceFile) -> list[tuple[ast.AST, str]]:
+    """(node, description) for every hash-order set iteration in the
+    file."""
     set_names = _set_typed_names(sf)
 
     def flag(iter_node: ast.AST) -> Iterator[tuple[ast.AST, str]]:
@@ -225,7 +204,7 @@ def iter_set_order_hits(sf: SourceFile) -> Hits:
             fname = dotted_name(node.func)
             if fname in _MATERIALIZERS and node.args:
                 hits.extend(flag(node.args[0]))
-    return tuple(hits)
+    return hits
 
 
 @register_rule
@@ -240,7 +219,7 @@ class SetIterationRule(Rule):
     include = ("src/repro",)
 
     def check(self, sf: SourceFile) -> Iterator[Violation]:
-        for node, detail in iter_set_order_hits(sf):
+        for node, detail in _set_order_hits(sf):
             if detail == "set iteration":
                 yield sf.violation(
                     self, node,

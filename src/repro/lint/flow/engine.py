@@ -1,11 +1,11 @@
 """Flow-engine front door: build (or reuse) the whole-program view.
 
-``program_for(project)`` is what the DET1xx / UNIT1xx rules call: it
+``program_for(project)`` is what the UNIT1xx rules call: it
 hashes every source file, loads unchanged summaries from the on-disk
 cache, extracts the rest, and assembles the
 :class:`~repro.lint.flow.graph.Program`.  Programs are memoized
-in-process on ``(root, file-hash vector)`` so both rule families — and
-repeated ``run_lint`` calls in one process — share one build.
+in-process on ``(root, file-hash vector)`` so the three UNIT1xx rules —
+and repeated ``run_lint`` calls in one process — share one build.
 
 Cache policy: enabled by default, disabled by ``configure(cache=False)``
 (the CLI's ``--no-cache``) or the ``REPRO_LINT_NO_CACHE`` environment

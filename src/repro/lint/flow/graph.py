@@ -13,15 +13,12 @@ only added when the callee can be named statically:
 * ``var.x`` → the class a local ``var = ClassName(...)`` constructed;
 * ``ClassName(...)`` → ``ClassName.__init__``.
 
-Anything else stays unresolved (recorded for graph stats, never guessed
-at).  Under-approximating edges means the taint pass can miss exotic
-flows but never invents one — the right polarity for a CI gate.
+Anything else stays unresolved (never guessed at).  Under-approximating
+edges means the UNIT1xx checks can miss an exotic call but never invent
+a mismatch — the right polarity for a CI gate.
 """
 
 from __future__ import annotations
-
-import json
-from typing import Iterator
 
 from repro.lint.flow.summary import (
     MODULE_FN,
@@ -30,7 +27,7 @@ from repro.lint.flow.summary import (
     FunctionSummary,
 )
 
-__all__ = ["Program", "ResolvedCall", "to_dot", "to_json_doc"]
+__all__ = ["Program", "ResolvedCall"]
 
 
 class ResolvedCall:
@@ -59,8 +56,6 @@ class Program:
         self.modules: dict[str, FileSummary] = {}
         #: caller fq -> resolved call edges (callee fq, site)
         self.edges: dict[str, list[ResolvedCall]] = {}
-        #: caller fq -> raw callee names that did not resolve
-        self.unresolved: dict[str, list[str]] = {}
         self.stats: dict[str, int] = {}
         self._build()
 
@@ -108,21 +103,14 @@ class Program:
         for fq, fn in sorted(self.functions.items()):
             fs = self.modules[self._module_of(fq, fn)]
             edges: list[ResolvedCall] = []
-            misses: list[str] = []
             for site in fn.calls:
                 callee = self.resolve_call(site.callee, fn, fs)
                 if callee is not None:
                     edges.append(ResolvedCall(site, callee))
-                else:
-                    misses.append(site.callee)
             if edges:
                 self.edges[fq] = edges
-            if misses:
-                self.unresolved[fq] = misses
         self.stats["functions"] = len(self.functions)
         self.stats["edges"] = sum(len(e) for e in self.edges.values())
-        self.stats["unresolved"] = sum(
-            len(m) for m in self.unresolved.values())
 
     def _module_of(self, fq: str, fn: FunctionSummary) -> str:
         suffix = f".{fn.qualname}"
@@ -227,106 +215,3 @@ class Program:
             if init is not None:
                 return init[1]
         return None
-
-    # ----------------------------------------------------------------- #
-    # queries
-    # ----------------------------------------------------------------- #
-
-    def callers_of(self) -> dict[str, list[tuple[str, CallSite]]]:
-        """Reverse adjacency: callee fq -> [(caller fq, site)]."""
-        rev: dict[str, list[tuple[str, CallSite]]] = {}
-        for caller, edges in sorted(self.edges.items()):
-            for e in edges:
-                rev.setdefault(e.callee, []).append((caller, e.site))
-        return rev
-
-    def functions_in(self, rel: str) -> Iterator[tuple[str, FunctionSummary]]:
-        for fq, fn in sorted(self.functions.items()):
-            if self.function_files.get(fq) == rel:
-                yield fq, fn
-
-
-# --------------------------------------------------------------------- #
-# export
-# --------------------------------------------------------------------- #
-
-
-def _node_sets(taint) -> tuple[set[str], set[str], set[tuple[str, str]]]:
-    """(tainted fns, digest roots, edges on reported taint paths)."""
-    tainted: set[str] = set()
-    roots: set[str] = set()
-    path_edges: set[tuple[str, str]] = set()
-    if taint is None:
-        return tainted, roots, path_edges
-    roots |= set(taint.roots)
-    for kind in sorted(taint.tainted):
-        tainted |= set(taint.tainted[kind])
-    for finding in taint.findings:
-        chain = finding.chain
-        for a, b in zip(chain, chain[1:]):
-            path_edges.add((a, b))
-    return tainted, roots, path_edges
-
-
-def to_dot(program: Program, taint=None) -> str:
-    """Graphviz DOT export; tainted nodes red, digest roots boxed, edges
-    on a reported source→sink chain bold red."""
-    tainted, roots, path_edges = _node_sets(taint)
-    lines = ["digraph simlint_flow {", '  rankdir="LR";',
-             '  node [fontsize=9, shape=ellipse];']
-    for fq in sorted(program.functions):
-        attrs = []
-        if fq in roots:
-            attrs.append('shape=box')
-        if fq in tainted:
-            attrs.append('color=red, fontcolor=red')
-        lines.append(f'  "{fq}"' + (f" [{', '.join(attrs)}]" if attrs else "")
-                     + ";")
-    for caller in sorted(program.edges):
-        for e in program.edges[caller]:
-            attr = ""
-            if (caller, e.callee) in path_edges:
-                attr = ' [color=red, penwidth=2.0]'
-            lines.append(f'  "{caller}" -> "{e.callee}"{attr};')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def to_json_doc(program: Program, taint=None) -> str:
-    """Deterministic JSON export of the graph and taint annotations."""
-    tainted, roots, path_edges = _node_sets(taint)
-    doc = {
-        "version": 1,
-        # cache hit/miss counters are run-local, not graph structure —
-        # the export must be byte-identical across cold and warm runs
-        "stats": {k: v for k, v in sorted(program.stats.items())
-                  if not k.startswith("cache_")},
-        "nodes": [
-            {
-                "id": fq,
-                "path": program.function_files.get(fq, ""),
-                "line": program.functions[fq].line,
-                "root": fq in roots,
-                "tainted": fq in tainted,
-            }
-            for fq in sorted(program.functions)
-        ],
-        "edges": [
-            {
-                "caller": caller,
-                "callee": e.callee,
-                "line": e.site.line,
-                "on_taint_path": (caller, e.callee) in path_edges,
-            }
-            for caller in sorted(program.edges)
-            for e in sorted(program.edges[caller],
-                            key=lambda e: (e.callee, e.site.line))
-        ],
-        "taint_paths": [] if taint is None else [
-            {"rule": f.rule, "kind": f.kind, "chain": list(f.chain),
-             "source": {"path": f.source_path, "line": f.source_line,
-                        "detail": f.detail}}
-            for f in taint.findings
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

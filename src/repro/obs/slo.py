@@ -483,7 +483,9 @@ def run_slo_scenario(config=None, slos: Sequence[SLO] = DEFAULT_SLOS,
     with an :class:`SloTracker` and :func:`sre_burn_rules` (flight-recorder
     bundles under ``out_dir`` when given).  Returns a deterministic
     JSON-able report — budgets, fired alerts, run summary — that replays
-    byte-identically for a fixed :class:`ChaosConfig`.
+    byte-identically for a fixed :class:`ChaosConfig`.  The drained run
+    must pass :func:`repro.faults.invariants.check_final_invariants`
+    (failed requests included) before any report is built.
 
     ``cluster=True`` additionally arms device/link telemetry on the chaos
     deployment (adding a ``"cluster"`` key to the report and a
@@ -491,6 +493,7 @@ def run_slo_scenario(config=None, slos: Sequence[SLO] = DEFAULT_SLOS,
     CI slo-gate run report.
     """
     from repro.faults.harness import ChaosRun, build_chaos_engine
+    from repro.faults.invariants import check_final_invariants
     from repro.obs.alerts import AlertMonitor, FlightRecorder
     from repro.obs.cluster import ClusterTelemetry
     from repro.obs.instrument import Instrumentation
@@ -505,6 +508,7 @@ def run_slo_scenario(config=None, slos: Sequence[SLO] = DEFAULT_SLOS,
         obs.cluster = ClusterTelemetry(engine.perf, routing=obs.routing)
     run = ChaosRun(result=engine.run(), injector=injector,
                    schedule=injector.schedule)
+    check_final_invariants(run.result, engine)
     report = {
         "scenario": "chaos_fault_storm",
         "hour_s": hour_s,

@@ -73,14 +73,13 @@ class TestRuleRegistry:
         ids = {r.id for r in all_rules()}
         for family in ("DET001", "DET002", "DET003", "UNIT001", "UNIT002",
                        "UNIT003", "REG001", "REG002", "REG003", "REG004",
-                       "DET101", "DET102", "DET103", "UNIT101", "UNIT102",
-                       "UNIT103", "SUP001"):
+                       "UNIT101", "UNIT102", "UNIT103", "SUP001"):
             assert family in ids
+        assert not any(i.startswith("DET1") for i in ids)
 
     def test_select_by_prefix(self):
         ids = {r.id for r in select_rules("DET")}
-        assert ids == {"DET001", "DET002", "DET003",
-                       "DET101", "DET102", "DET103"}
+        assert ids == {"DET001", "DET002", "DET003"}
 
     def test_select_local_det_only(self):
         ids = {r.id for r in select_rules("DET001,DET002,DET003")}

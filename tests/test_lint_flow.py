@@ -1,5 +1,5 @@
-"""Interprocedural flow engine: symbol table, call graph, determinism
-taint (DET1xx), unit flow (UNIT1xx), incremental cache, graph export."""
+"""Interprocedural flow engine: symbol table, call graph, unit flow
+(UNIT1xx), incremental cache."""
 
 import pathlib
 import textwrap
@@ -9,9 +9,8 @@ import pytest
 
 from repro.lint.core import LintProject, get_rule, run_lint
 from repro.lint.flow import engine
-from repro.lint.flow.graph import Program, to_dot, to_json_doc
+from repro.lint.flow.graph import Program
 from repro.lint.flow.summary import module_name_for, summarize_source
-from repro.lint.flow.taint import taint_report
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -135,176 +134,33 @@ class TestCallGraph:
         assert program.stats["edges"] > 1000
 
 
-# a wall read laundered through TWO helpers in separate modules before
-# reaching a digest-bearing root (repro.fleet.invariants.* is a root)
-LAUNDERED = {
-    "src/repro/fleet/invariants.py": """
-        from repro.util_a import stamp_a
+def summaries(program: Program) -> dict:
+    return {rel: program.files[rel].to_dict() for rel in sorted(program.files)}
 
-        def fleet_digest():
-            return stamp_a()
+
+def edge_list(program: Program) -> list:
+    return sorted((c, e.callee, e.site.line) for c in program.edges
+                  for e in program.edges[c])
+
+
+# a unit mismatch passed across a module boundary (UNIT101)
+CROSS_MODULE = {
+    "src/repro/perfmodel/costs.py": """
+        def scale(latency_s):
+            return latency_s * 2.0
     """,
-    "src/repro/util_a.py": """
-        from repro.util_b import stamp_b
+    "src/repro/driver.py": """
+        from repro.perfmodel.costs import scale
 
-        def stamp_a():
-            return stamp_b() + 1.0
-    """,
-    "src/repro/util_b.py": """
-        import time
-
-        def stamp_b():
-            return time.time()
+        def go(buf_bytes):
+            return scale(buf_bytes)
     """,
 }
 
 
-class TestDeterminismTaint:
-    def test_laundered_wall_read_caught_with_full_chain(self, tmp_path):
-        project = make_project(tmp_path, LAUNDERED)
-        vs = run_lint(tmp_path, rules=[get_rule("DET101")], project=project)
-        assert [v.rule for v in vs] == ["DET101"]
-        v = vs[0]
-        # anchored at the source line, chain names every hop
-        assert v.path == "src/repro/util_b.py"
-        assert "time.time" in v.snippet
-        assert ("repro.fleet.invariants.fleet_digest -> "
-                "repro.util_a.stamp_a -> repro.util_b.stamp_b") in v.message
-
-    def test_unreached_source_is_not_a_violation(self, tmp_path):
-        files = dict(LAUNDERED)
-        # cut the chain: the root no longer calls the laundering helper
-        files["src/repro/fleet/invariants.py"] = """
-            def fleet_digest():
-                return 0.0
-        """
-        project = make_project(tmp_path, files)
-        vs = run_lint(tmp_path, rules=[get_rule("DET101")], project=project)
-        assert vs == []
-
-    def test_experiment_decorator_is_a_root(self, tmp_path):
-        project = make_project(tmp_path, {
-            "src/repro/exp.py": """
-                from repro.core.registry import experiment
-                from repro.util_b import stamp_b
-
-                @experiment("fig99")
-                def run():
-                    return stamp_b()
-            """,
-            "src/repro/util_b.py": LAUNDERED["src/repro/util_b.py"],
-        })
-        vs = run_lint(tmp_path, rules=[get_rule("DET101")], project=project)
-        assert [v.rule for v in vs] == ["DET101"]
-        assert "repro.exp.run -> repro.util_b.stamp_b" in vs[0].message
-
-    @pytest.mark.parametrize("module, caught", [
-        ("src/repro/scenarios.py", True),
-        ("src/repro/unregistered.py", False),
-    ])
-    def test_scenario_body_is_a_root(self, tmp_path, module, caught):
-        """A wall-clock read inside a replay scenario reaches its digest;
-        the same body outside the scenario module reaches none."""
-        project = make_project(tmp_path, {module: """
-            import time
-
-            def chaos(fault_seed=0):
-                rows = [repr((fault_seed, time.time()))]
-                return rows[0], rows
-        """})
-        vs = run_lint(tmp_path, rules=[get_rule("DET101")], project=project)
-        assert [v.rule for v in vs] == (["DET101"] if caught else [])
-        if caught:
-            assert vs[0].path == module and "time.time" in vs[0].snippet
-
-    def test_wall_channel_sanitizes_source_and_path(self, tmp_path):
-        project = make_project(tmp_path, {
-            # source inside a wall-channel module: by-design, not taint
-            "src/repro/obs/trace.py": """
-                import time
-
-                def wall_now():
-                    return time.time()
-            """,
-            "src/repro/fleet/invariants.py": """
-                from repro.obs.trace import wall_now
-
-                def fleet_digest():
-                    return wall_now()
-            """,
-        })
-        vs = run_lint(tmp_path, rules=[get_rule("DET101")], project=project)
-        assert vs == []
-
-    def test_rng_taint(self, tmp_path):
-        project = make_project(tmp_path, {
-            "src/repro/fleet/invariants.py": """
-                from repro.util_c import jitter
-
-                def fleet_digest():
-                    return jitter()
-            """,
-            "src/repro/util_c.py": """
-                import random
-
-                def jitter():
-                    return random.random()
-            """,
-        })
-        vs = run_lint(tmp_path, rules=[get_rule("DET102")], project=project)
-        assert [v.rule for v in vs] == ["DET102"]
-
-    def test_set_order_taint(self, tmp_path):
-        project = make_project(tmp_path, {
-            "src/repro/fleet/invariants.py": """
-                from repro.util_d import total
-
-                def fleet_digest():
-                    return total()
-            """,
-            "src/repro/util_d.py": """
-                def total():
-                    acc = 0
-                    for x in {1, 2, 3}:
-                        acc += x
-                    return acc
-            """,
-        })
-        vs = run_lint(tmp_path, rules=[get_rule("DET103")], project=project)
-        assert [v.rule for v in vs] == ["DET103"]
-
-    def test_local_suppression_carries_over(self, tmp_path):
-        files = dict(LAUNDERED)
-        files["src/repro/util_b.py"] = """
-            import time
-
-            def stamp_b():
-                return time.time()  # simlint: disable=DET001
-        """
-        project = make_project(tmp_path, files)
-        vs = run_lint(tmp_path, rules=[get_rule("DET101")], project=project)
-        assert vs == []
-
-    def test_repo_is_taint_clean(self, repo_lint):
-        report = taint_report(repo_lint.program, repo_lint.project)
-        assert report.findings == []
-        assert len(report.roots) > 50  # experiments + serving/fleet surface
-
-
 class TestUnitFlow:
     def test_arg_unit_mismatch_across_modules(self, tmp_path):
-        project = make_project(tmp_path, {
-            "src/repro/perfmodel/costs.py": """
-                def scale(latency_s):
-                    return latency_s * 2.0
-            """,
-            "src/repro/driver.py": """
-                from repro.perfmodel.costs import scale
-
-                def go(buf_bytes):
-                    return scale(buf_bytes)
-            """,
-        })
+        project = make_project(tmp_path, CROSS_MODULE)
         vs = run_lint(tmp_path, rules=[get_rule("UNIT101")], project=project)
         assert [v.rule for v in vs] == ["UNIT101"]
         assert "latency_s" in vs[0].message and "'bytes'" in vs[0].message
@@ -398,7 +254,8 @@ class TestIncrementalCache:
         warm_s = time.perf_counter() - t0
         assert warm.stats["cache_hits"] == n
         assert warm.stats["cache_misses"] == 0
-        assert to_json_doc(warm) == to_json_doc(cold)
+        assert summaries(warm) == summaries(cold)
+        assert edge_list(warm) == edge_list(cold)
         assert warm_s < cold_s  # summaries load as JSON, no AST walks
 
     def test_changed_file_invalidates_only_itself(self, tmp_path):
@@ -435,41 +292,11 @@ class TestIncrementalCache:
         assert not (tmp_path / "flow.json").exists()
 
 
-class TestGraphExport:
-    def test_dot_highlights_taint_path(self, tmp_path):
-        project = make_project(tmp_path, LAUNDERED)
-        program = engine.program_for(project)
-        report = taint_report(program, project)
-        dot = to_dot(program, report)
-        assert dot.startswith("digraph")
-        assert '"repro.fleet.invariants.fleet_digest" [shape=box' in dot
-        assert ('"repro.util_a.stamp_a" -> "repro.util_b.stamp_b" '
-                '[color=red, penwidth=2.0];') in dot
-
-    def test_json_doc_is_deterministic_and_structured(self, tmp_path):
-        project = make_project(tmp_path, LAUNDERED)
-        program = engine.program_for(project)
-        report = taint_report(program, project)
-        doc_a = to_json_doc(program, report)
-        doc_b = to_json_doc(program, report)
-        assert doc_a == doc_b
-        import json
-        doc = json.loads(doc_a)
-        assert doc["version"] == 1
-        (path,) = doc["taint_paths"]
-        assert path["rule"] == "DET101"
-        assert path["chain"] == ["repro.fleet.invariants.fleet_digest",
-                                 "repro.util_a.stamp_a",
-                                 "repro.util_b.stamp_b"]
-        tainted = {n["id"] for n in doc["nodes"] if n["tainted"]}
-        assert "repro.util_a.stamp_a" in tainted
-
-
 class TestSummaries:
     def test_summary_round_trips_through_json(self, tmp_path):
         import json
-        project = make_project(tmp_path, LAUNDERED)
-        sf = project.file("src/repro/util_b.py")
+        project = make_project(tmp_path, CROSS_MODULE)
+        sf = project.file("src/repro/driver.py")
         summary = summarize_source(sf, "sha")
         restored = type(summary).from_dict(
             json.loads(json.dumps(summary.to_dict())))
@@ -477,10 +304,13 @@ class TestSummaries:
 
     def test_program_from_restored_summaries_matches(self, tmp_path):
         import json
-        project = make_project(tmp_path, LAUNDERED)
+        project = make_project(tmp_path, CROSS_MODULE)
         raw = {sf.rel: summarize_source(sf, "sha") for sf in project.files}
         restored = {
             rel: type(s).from_dict(json.loads(json.dumps(s.to_dict())))
             for rel, s in raw.items()
         }
-        assert to_json_doc(Program(restored)) == to_json_doc(Program(raw))
+        assert summaries(Program(restored)) == summaries(Program(raw))
+        assert edge_list(Program(restored)) == edge_list(Program(raw))
+        assert ("repro.driver.go", "repro.perfmodel.costs.scale", 4) in \
+            edge_list(Program(raw))

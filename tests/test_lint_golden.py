@@ -1,12 +1,11 @@
 """Golden lint output over a planted corpus.
 
 The corpus below plants at least one positive and one negative for every
-per-file and flow family (DET001-003, DET101-103, UNIT001-003,
-UNIT101-103, OBS001-002, SUP001, plus the REG project rules it touches
-on the way).  The digest covers everything the lint package emits for
-it: the violations of all rules, every per-file flow summary, and the
-call-graph JSON document with taint paths.  A refactor of how the lint
-walks its trees must leave the digest unchanged.
+per-file and flow family (DET001-003, UNIT001-003, UNIT101-103,
+OBS001-002, SUP001, plus the REG project rules it touches on the way).
+The digest covers everything the lint package emits for it: the
+violations of all rules and every per-file flow summary.  A refactor of
+how the lint walks its trees must leave the digest unchanged.
 """
 
 import ast
@@ -19,27 +18,9 @@ import pytest
 
 from repro.lint.core import LintProject, run_lint
 from repro.lint.flow import engine
-from repro.lint.flow.graph import to_json_doc
-from repro.lint.flow.taint import taint_report
 
 CORPUS = {
-    # DET101-103 roots: every function here is a digest root
-    "src/repro/fleet/invariants.py": """
-        from repro.sources import jitter, stamp, total, tidy
-
-        def wall_digest():
-            return stamp() + 1.0
-
-        def rng_digest():
-            return jitter()
-
-        def order_digest():
-            return total()
-
-        def clean_digest():
-            return tidy()
-    """,
-    # DET001-003 positives and negatives, reached from the roots
+    # DET001-003 positives and negatives
     "src/repro/sources.py": """
         import random
         import time as _t
@@ -69,7 +50,7 @@ CORPUS = {
             seen = set()
             return [x for x in sorted(seen)] + [y for y in (1, 2)]
     """,
-    # a source no digest root reaches: DET001 fires, DET101 does not
+    # more DET001 positives, and one accepted by a suppression
     "src/repro/unreached.py": """
         import datetime
         import time
@@ -249,10 +230,10 @@ ROOT_FILES = {
     "BENCH_gone.json": "{}\n",
 }
 
-#: SHA-256 over the three outputs of :func:`lint_outputs`; any change to
+#: SHA-256 over the two outputs of :func:`lint_outputs`; any change to
 #: what the lint reports moves it
 GOLDEN_DIGEST = (
-    "e746fb09d1be7bf86c95c676f49d9b471e2d55d14c550cbf1013013f350876f8")
+    "2d0c6cb06ba149fbe759f0f0276491ec2eaba516d2152c358999ee570c72ecbe")
 
 
 @pytest.fixture(autouse=True)
@@ -283,7 +264,6 @@ def lint_outputs(root) -> dict:
                        for v in violations],
         "summaries": {rel: program.files[rel].to_dict()
                       for rel in sorted(program.files)},
-        "graph": to_json_doc(program, taint_report(program, project)),
     }
 
 
@@ -297,10 +277,10 @@ def test_golden_digest(tmp_path):
     # the corpus plants a positive for every family (the negatives show
     # only through the digest)
     fired = {v[0] for v in outputs["violations"]}
-    for rule in ("DET001", "DET002", "DET003", "DET101", "DET102",
-                 "DET103", "UNIT001", "UNIT002", "UNIT003", "UNIT101",
-                 "UNIT102", "UNIT103", "OBS001", "OBS002", "SUP001",
-                 "REG001", "REG002", "REG003", "REG004"):
+    for rule in ("DET001", "DET002", "DET003", "UNIT001", "UNIT002",
+                 "UNIT003", "UNIT101", "UNIT102", "UNIT103", "OBS001",
+                 "OBS002", "SUP001", "REG001", "REG002", "REG003",
+                 "REG004"):
         assert rule in fired, rule
     assert digest(outputs) == GOLDEN_DIGEST
 

@@ -507,3 +507,16 @@ class TestSloScenario:
         assert budgets["availability"]["bad"] > 0
         assert budgets["availability"]["budget_consumed"] > 1.0
         assert report["summary"]["fault_retries"] > 0
+
+    def test_failed_request_keeping_kv_breaks_the_run(self, monkeypatch):
+        """The storm's failed requests are audited at drain: one that
+        keeps its KV token count fails the scenario, not just a digest."""
+        from repro.faults.invariants import InvariantViolation
+
+        def leaky_fail(req, reason):
+            req.state = RequestState.FAILED
+            req.failure_reason = reason
+
+        monkeypatch.setattr(Request, "fail", leaky_fail)
+        with pytest.raises(InvariantViolation, match="still counts"):
+            run_slo_scenario(fault_storm_config())
