@@ -31,8 +31,8 @@ Each subcommand's ``--help`` says what it does.  ``gate`` is the CI
 replay gate (:mod:`repro.gate`): every scenario of :mod:`repro.scenarios`
 in four execution modes, naming the first divergent row on a mismatch.
 The fast paths are switched off only through the environment
-(``REPRO_NO_VECTORIZE``, ``REPRO_NO_VECTORIZE_ENGINE``,
-``REPRO_NO_STEPCACHE``), which pool workers inherit.  See
+(``REPRO_NO_VECTORIZE_ENGINE``, ``REPRO_NO_STEPCACHE``), which pool
+workers inherit.  See
 ``docs/observability.md``, ``docs/regression.md``, ``docs/faults.md``,
 ``docs/fleet.md`` and ``docs/lint.md``.
 """

@@ -33,10 +33,10 @@ def run() -> ExperimentResult:
         ("model", "batch", "top_k", "throughput_tok_s", "fits"),
     )
 
-    # one deployment per (model, top_k); the batch axis is evaluated
-    # vectorized in a single pass.  Rows land in a dict first because the
-    # recorded table order is model -> batch -> top_k (batch is *not* the
-    # innermost sweep axis) and digests are order-sensitive.
+    # one deployment per (model, top_k), priced along the batch axis.
+    # Rows land in a dict first because the recorded table order is
+    # model -> batch -> top_k (batch is *not* the innermost sweep axis)
+    # and digests are order-sensitive.
     cells: dict[tuple[str, int, int], dict] = {}
     for model in MODELS:
         cfg = get_model(model)

@@ -31,7 +31,7 @@ def run() -> ExperimentResult:
     )
 
     # one deployment per model; the whole (batch, io_tokens) grid is one
-    # vectorized axis, emitted in the original sweep's product order
+    # axis, emitted in the original sweep's product order
     for model in MODELS:
         pm = perf_model(get_model(model))
         grid = [(b, io) for b in BATCHES for io in PAPER_SEQUENCE_LENGTHS]

@@ -8,7 +8,12 @@ every mode must produce the rows of the first:
 3. in a spawned worker under another ``PYTHONHASHSEED``, the experiments
    through the 2-job pool runner (set-order leaks, pool-merge drift);
 4. in a spawned worker with every fast path off (:data:`FAST_PATHS_OFF`),
-   pinned to one CPU so the router's serial path is gated too.
+   pinned to one CPU so the router's serial path is gated too, under a
+   third ``PYTHONHASHSEED``.
+
+The two workers' hash seeds are fixed, differ from each other and from
+the caller's, so a set-order leak cannot pass because a random seed
+happened to match a worker's.
 
 A ``bench.<id>`` scenario must also match its committed baseline under
 :func:`repro.obs.regress.compare_fingerprints`.  On a mismatch the gate
@@ -34,8 +39,7 @@ from repro.scenarios import Outcome, Scenario, bench, fingerprint_outcome, \
 
 __all__ = ["FAST_PATHS_OFF", "replay", "first_divergence", "gate"]
 
-FAST_PATHS_OFF = {"REPRO_NO_VECTORIZE": "1", "REPRO_NO_VECTORIZE_ENGINE": "1",
-                  "REPRO_NO_STEPCACHE": "1"}
+FAST_PATHS_OFF = {"REPRO_NO_VECTORIZE_ENGINE": "1", "REPRO_NO_STEPCACHE": "1"}
 
 _FLOAT = re.compile(r"(?<![\w.])-?\d+\.\d+(?:[eE][-+]?\d+)?(?![\w.])")
 """A decimal float literal (JSON or repr), never part of a hex float."""
@@ -200,12 +204,14 @@ def gate(scenarios: Sequence[Scenario] | None = None,
     failed = not report.within()
     if failed:
         print("[FAIL] disabled-instrumentation overhead exceeds the 2% band")
-    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    seed, off_seed = [s for s in ("1", "2", "3")
+                      if s != os.environ.get("PYTHONHASHSEED")][:2]
     workers = [
         (f"worker, PYTHONHASHSEED={seed}, pool of 2",
          _spawn(scenarios, {"PYTHONHASHSEED": seed}, 2, False)),
-        ("worker, fast paths off, one CPU",
-         _spawn(scenarios, FAST_PATHS_OFF, 1, True)),
+        (f"worker, fast paths off, one CPU, PYTHONHASHSEED={off_seed}",
+         _spawn(scenarios, {**FAST_PATHS_OFF, "PYTHONHASHSEED": off_seed},
+                1, True)),
     ]
     try:
         runs = {"in-process": replay(scenarios),

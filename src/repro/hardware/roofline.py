@@ -34,8 +34,8 @@ _QUANT_DTYPES = ("fp8_e4m3", "int8", "int4")
 
 
 # The unchecked formulas below (and the step model built on them) run on
-# plain Python floats and on float64 arrays — a whole sweep axis of step
-# shapes in one pass.  IEEE-754 ops on float64 arrays are elementwise
+# plain Python floats and on float64 arrays — the serving engine's decode
+# row prices a block of contexts in one pass.  IEEE-754 ops on float64 arrays are elementwise
 # identical to the same ops on Python floats, and max/min select the same
 # value as maximum/minimum on the positive finite operands used here, so
 # both input kinds produce the same bits.  These helpers absorb the only

@@ -212,21 +212,33 @@ class BaselineStore:
 # --------------------------------------------------------------------------- #
 
 
-def changed_files_since(sha: str | None,
-                        repo_root: str | pathlib.Path = ".") -> list[str]:
-    """Repo-relative paths changed (committed or not) since ``sha``."""
-    if not sha:
-        return []
+def _git_lines(args: list[str], repo_root: str | pathlib.Path) -> list[str] | None:
+    """Non-blank output lines of ``git <args>``, or None when git fails."""
     try:
         out = subprocess.run(
-            ["git", "diff", "--name-only", sha], cwd=str(repo_root),
+            ["git", *args], cwd=str(repo_root),
             capture_output=True, text=True, timeout=10,
         )
     except (OSError, subprocess.SubprocessError):
-        return []
+        return None
     if out.returncode != 0:
-        return []
+        return None
     return [line for line in out.stdout.splitlines() if line.strip()]
+
+
+def changed_files_since(sha: str | None,
+                        repo_root: str | pathlib.Path = ".") -> list[str]:
+    """Repo-relative paths changed since ``sha``, most recent change
+    first: uncommitted changes against HEAD, then the files of each
+    commit since ``sha``, newest commit first, each path once."""
+    if not sha:
+        return []
+    uncommitted = _git_lines(["diff", "--name-only", "HEAD"], repo_root)
+    committed = _git_lines(["log", "--name-only", "--format=", f"{sha}..HEAD"],
+                           repo_root)
+    if uncommitted is None or committed is None:
+        return []
+    return list(dict.fromkeys(uncommitted + committed))
 
 
 def loaded_repro_modules() -> set[str]:

@@ -4,9 +4,10 @@ Each function returns a :class:`ComponentCost` describing one logical
 component of a decoder layer (projections, attention core, router, routed
 experts, ...) for a step that processes ``m`` new tokens.  The phase model
 (:mod:`repro.perfmodel.phases`) converts these into times via the roofline.
-The step shape (``m``, ``batch``, ``kv_len``, ``attended_len``) may be a
-Python float or a float64 array over a sweep axis; both give the same bits
-(see :mod:`repro.hardware.roofline`).
+The step shape (``m``, ``batch``, ``kv_len``, ``attended_len``) is
+Python floats; ``kv_len`` may also be a float64 array of contexts (the
+serving engine's decode row), with the same bits per context (see
+:mod:`repro.hardware.roofline`).
 
 The routing statistics that shape the MoE cost (expert coverage, EP load
 imbalance) live in :mod:`repro.moe.routing_math` and are re-exported here.

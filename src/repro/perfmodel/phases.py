@@ -13,13 +13,15 @@ times on a given hardware/parallelism/quantization deployment:
   intermediate traffic (Fig. 14).
 
 The cost arithmetic exists once (:meth:`StepModel._step_terms`) and runs
-on Python floats for one step and on float64 arrays for a sweep axis,
-with the same bits either way.  It splits along what the terms read: the
-attention core alone reads the KV context, while weights, expert
-coverage, the router, embedding and lm_head, TP/EP collectives, PP hops
-and the fixed overhead read only the step's token count and batch
+on Python floats.  The one array caller is the serving engine's decode
+row (:meth:`StepModel.decode_totals`): one scalar batch over a float64
+array of contexts, with the same bits as one float step per context.
+The cost splits along what the terms read: the attention core alone
+reads the KV context, while weights, expert coverage, the router,
+embedding and lm_head, TP/EP collectives, PP hops and the fixed overhead
+read only the step's token count and batch
 (:meth:`StepModel._token_terms`).  For decode steps those token-only
-terms are memoized per scalar ``(tokens, batch)`` in the step cache, so a
+terms are memoized per ``(tokens, batch)`` in the step cache, so a
 decode row over many contexts, or a decode breakdown at an already priced
 ``(tokens, batch)``, pays only for attention.
 """
@@ -35,7 +37,6 @@ from repro.hardware.roofline import (
     KernelCost,
     _gemm_efficiency,
     _kernel_time,
-    _map,
     _maximum,
     gemm_efficiency,
     kernel_time,
@@ -225,8 +226,7 @@ class StepModel:
             # mean assignments landing on one EP group; the all-to-all
             # barrier makes the step as slow as the *max*-loaded group, so
             # the whole expert phase is scaled by the multinomial imbalance
-            imbalance = _map(lambda x: expected_group_imbalance(ep, x),
-                             m * moe.top_k)
+            imbalance = expected_group_imbalance(ep, m * moe.top_k)
             cost = routed_experts_cost(
                 self.model,
                 _maximum(1.0, m / ep),
@@ -322,28 +322,26 @@ class StepModel:
         """The step's ``(attention, moe_ffn, dense_ffn, embedding, lm_head,
         router, comm, pipeline, overhead)`` seconds.
 
-        The one step-cost core: each shape argument is a Python float (one
-        step) or a float64 array (a sweep axis), with the same bits either
-        way.  Only the attention core reads the context; every other term
-        comes from :meth:`_token_terms`, which a decode step at scalar
-        ``(m, batch)`` takes from the step cache's token memo
+        The one step-cost core: ``m`` and ``batch`` are Python floats, and
+        ``kv_len`` is a float or, for a decode row, a float64 array of
+        contexts, with the same bits either way.  Only the attention core
+        reads the context; every other term comes from
+        :meth:`_token_terms`, which a decode step takes from the step
+        cache's token memo
         (:attr:`~repro.perfmodel.stepcache.StepCache.token_terms`), so a
-        decode row (scalar batch, array context) and a decode breakdown
-        at a known ``(m, batch)`` price the attention core alone.  Each
-        per-layer term is priced once and then accumulated by repeated
-        addition from ``0.0``, as a per-layer loop would (``n`` additions
-        are not one multiplication in floating point); the attention layer
-        is ``(qkvo + core) + elementwise``.  The accumulators are
-        independent, so summing the token-only ones apart leaves every bit
-        as it was.
+        decode row and a decode breakdown at a known ``(m, batch)`` price
+        the attention core alone.  Each per-layer term is priced once and
+        then accumulated by repeated addition from ``0.0``, as a per-layer
+        loop would (``n`` additions are not one multiplication in floating
+        point); the attention layer is ``(qkvo + core) + elementwise``.
+        The accumulators are independent, so summing the token-only ones
+        apart leaves every bit as it was.
         """
         cache = self._cache
         # only decode shapes (whole-context attention) are memoized: their
         # (m, batch) recurs across contexts, while prefill token counts
         # are nearly unique and would fill the memo without a hit
-        if (attended_len is None and cache.enabled
-                and not isinstance(m, np.ndarray)
-                and not isinstance(batch, np.ndarray)):
+        if attended_len is None and cache.enabled:
             key = (self._setup_id, m, batch)
             tokens = cache.token_terms.get(key)
             if tokens is None:
@@ -458,31 +456,14 @@ class StepModel:
         return bd.total
 
     # ------------------------------------------------------------------ #
-    # step totals without a breakdown (sweep axes, engine probes)
+    # step totals without a breakdown (engine probes)
     # ------------------------------------------------------------------ #
-
-    def step_totals(self, num_tokens, batch, kv_len, attended_len=None) -> list[float]:
-        """``step_breakdown(...).total`` for an axis of step shapes, priced
-        as float64 arrays in one pass.
-
-        Arguments are per-point sequences; ``attended_len=None`` attends
-        to the whole context.  Returns Python floats so downstream tables
-        never see ``np.float64`` (its repr would corrupt table digests).
-        """
-        m = np.asarray(num_tokens, dtype=np.float64)
-        b = np.asarray(batch, dtype=np.float64)
-        kv = np.asarray(kv_len, dtype=np.float64)
-        att = None if attended_len is None else np.asarray(attended_len, dtype=np.float64)
-        if m.size and (m.min() <= 0 or b.min() <= 0):
-            raise ValueError("num_tokens and batch must be positive")
-        return self._total(self._step_terms(m, b, kv, att)).tolist()
 
     def step_total_one(self, num_tokens, batch, kv_len,
                        attended_len=None) -> float:
         """One step's total seconds on Python floats, skipping the
         breakdown and the step cache — the engine fast path's point probe.
-        Same bits as ``step_breakdown(...).total`` and as
-        ``step_totals([...])[0]``."""
+        Same bits as ``step_breakdown(...).total``."""
         m = float(num_tokens)
         b = float(batch)
         kv = float(kv_len)
@@ -491,39 +472,20 @@ class StepModel:
             raise ValueError("num_tokens and batch must be positive")
         return self._total(self._step_terms(m, b, kv, att))
 
-    def prefill_totals(self, batches, prompt_lens) -> list[float]:
-        """``prefill_time`` for per-point ``(batch, prompt_len)`` pairs."""
-        batches = list(batches)
-        prompt_lens = list(prompt_lens)
-        if any(p <= 0 for p in prompt_lens):
-            raise ValueError("prompt_len must be positive")
-        return self.step_totals(
-            num_tokens=[b * p for b, p in zip(batches, prompt_lens)],
-            batch=batches,
-            kv_len=prompt_lens,
-            attended_len=[(p + 1) / 2.0 for p in prompt_lens],
-        )
-
-    def decode_totals(self, batches, context_lens) -> list[float]:
-        """``decode_step_time`` for per-point ``(batch, context)`` pairs.
-
-        When every batch is equal (an engine decode-memo row) the batch
-        stays a scalar: the token-only terms are priced once, through the
-        token memo, and one array pass over the contexts prices the
-        attention core."""
-        batches = list(batches)
+    def decode_totals(self, batch, context_lens) -> list[float]:
+        """``decode_step_time(batch, c)`` for every context ``c`` — the
+        engine's decode-memo row.  The token-only terms are priced once,
+        through the token memo, and one float64 array pass over the
+        contexts prices the attention core.  Returns Python floats so
+        downstream tables never see ``np.float64`` (its repr would corrupt
+        table digests)."""
         kv = np.asarray(context_lens, dtype=np.float64)
         if kv.size and kv.min() <= 0:
             raise ValueError("context_len must be positive")
-        if batches and len(batches) == len(kv) \
-                and batches.count(batches[0]) == len(batches):
-            b = float(batches[0])
-            if b <= 0:
-                raise ValueError("num_tokens and batch must be positive")
-            return self._total(self._step_terms(b, b, kv, None)).tolist()
-        return self.step_totals(
-            num_tokens=batches, batch=batches, kv_len=kv,
-        )
+        b = float(batch)
+        if b <= 0:
+            raise ValueError("num_tokens and batch must be positive")
+        return self._total(self._step_terms(b, b, kv, None)).tolist()
 
     def cache_stats(self) -> _stepcache.CacheStats:
         """Hit/miss counters of the step cache this model routes through."""

@@ -158,7 +158,7 @@ class StepCache:
         :class:`~repro.serving.fastpath.EngineFastPath`."""
         self.token_terms: dict[tuple, tuple] = {}
         """:meth:`StepModel._token_terms` output keyed ``(setup_id,
-        num_tokens, batch)`` for scalar decode shapes: every step term
+        num_tokens, batch)`` for decode shapes: every step term
         except the attention core, which alone reads the KV context.
         Prefill shapes are not kept (their token counts almost never
         recur).  Filled by :meth:`StepModel._step_terms` through

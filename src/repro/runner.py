@@ -21,7 +21,7 @@ experiments out across worker processes.  The determinism contract:
   of the pool; it cannot affect results, only speedup.
 
 Workers inherit ``os.environ`` (fork or spawn), so escape hatches such
-as ``REPRO_NO_VECTORIZE`` / ``REPRO_NO_STEPCACHE`` set in the environment
+as ``REPRO_NO_VECTORIZE_ENGINE`` / ``REPRO_NO_STEPCACHE`` set in the environment
 apply to every process in the pool.
 """
 

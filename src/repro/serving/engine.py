@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.instrument import Instrumentation
 from repro.perfmodel.inference import InferencePerfModel
 from repro.serving.events import Event, EventLog, EventType
-from repro.serving.fastpath import EngineFastPath, engine_vectorize_enabled
+from repro.serving.fastpath import EngineFastPath, engine_fastpath_enabled
 from repro.serving.kv_cache import DEFAULT_BLOCK_SIZE, PagedKVCache
 from repro.serving.request import Request, RequestState, SamplingParams
 from repro.serving.scheduler import ScheduledBatch, Scheduler, SchedulerConfig
@@ -305,7 +305,7 @@ class ServingEngine:
         self._stepcache_at_start = (stats.hits, stats.misses)
         """Step-cache counter snapshot; ``run()`` reports the run's own
         hit/miss delta through the metrics registry."""
-        self.fastpath = EngineFastPath(self) if engine_vectorize_enabled() \
+        self.fastpath = EngineFastPath(self) if engine_fastpath_enabled() \
             else None
         """Batched decode-window advance (phase-2 fast path), or ``None``
         under ``REPRO_NO_VECTORIZE_ENGINE``.  Bit-identical to repeated

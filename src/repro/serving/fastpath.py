@@ -107,7 +107,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.instrument import Instrumentation
     from repro.serving.engine import ServingEngine
 
-__all__ = ["DECODE_BLOCK", "EngineFastPath", "engine_vectorize_enabled"]
+__all__ = ["DECODE_BLOCK", "EngineFastPath", "engine_fastpath_enabled"]
 
 _MAX_WINDOW = 4096
 """Iterations advanced per window (bounds its event batch; longer decode
@@ -124,10 +124,9 @@ with the memo cold).  Windows and completing steps walk contexts upwards one at 
 time."""
 
 
-def engine_vectorize_enabled() -> bool:
+def engine_fastpath_enabled() -> bool:
     """Whether the batched decode window is enabled (the escape hatch is
-    ``REPRO_NO_VECTORIZE_ENGINE=1``, mirroring ``REPRO_NO_VECTORIZE`` for
-    the sweep fast path)."""
+    ``REPRO_NO_VECTORIZE_ENGINE=1``)."""
     return os.environ.get("REPRO_NO_VECTORIZE_ENGINE", "") in ("", "0")
 
 
@@ -188,7 +187,7 @@ class EngineFastPath:
         0 prices from context 1 and holds NaN in its slot."""
         low = block * DECODE_BLOCK
         contexts = np.arange(low or 1, low + DECODE_BLOCK, dtype=np.float64)
-        row = self.steps.decode_totals([batch] * len(contexts), contexts)
+        row = self.steps.decode_totals(batch, contexts)
         if not low:
             row.insert(0, math.nan)
         plan[block] = row

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.cli import main
@@ -9,6 +14,47 @@ from repro.core.experiment import ExperimentResult
 from repro.core.registry import get_experiment, list_experiments, run_experiment
 from repro.core.report import render_markdown, render_summary, write_report
 from repro.core.results import ResultTable
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter, where no ``repro.core``
+    submodule is loaded yet."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestPackageExports:
+    """``repro.core`` re-exports load on first access."""
+
+    def test_experiment_is_the_decorator_after_the_submodule_loads(self):
+        _fresh("import repro.core.experiment\n"
+               "from repro.core import experiment\n"
+               "from repro.core.registry import experiment as decorator\n"
+               "assert experiment is decorator, experiment\n")
+
+    def test_sweep_and_advise(self):
+        _fresh("import repro.core\n"
+               "from repro.core.advisor import advise\n"
+               "from repro.core.experiment import sweep\n"
+               "assert repro.core.sweep is sweep\n"
+               "assert repro.core.advise is advise\n")
+
+    def test_every_public_name_resolves(self):
+        _fresh("from repro.core import *\n"
+               "import repro.core\n"
+               "assert all(getattr(repro.core, n) is not None\n"
+               "           for n in repro.core.__all__)\n")
+
+    def test_cli_import_leaves_charts_and_advisor_unloaded(self):
+        _fresh("import sys\n"
+               "import repro.core.cli\n"
+               "assert 'repro.core.charts' not in sys.modules\n"
+               "assert 'repro.core.advisor' not in sys.modules\n")
 
 
 class TestRegistry:

@@ -584,7 +584,7 @@ class TestDecodeMemo:
     def test_array_pass_equals_one_point_probe(self, model, batch):
         steps = _perf(model).steps
         contexts = list(range(1, 64)) + list(range(4_032, 4_096))
-        totals = steps.decode_totals([batch] * len(contexts), contexts)
+        totals = steps.decode_totals(batch, contexts)
         for context, seconds in zip(contexts, totals):
             assert type(seconds) is float
             assert seconds == steps.step_total_one(batch, batch, context)

@@ -1,7 +1,7 @@
 """Property-based tests: every fast path is bit-identical to the slow path.
 
-The perf-opt layers (step cache, vectorized sweeps) are exact memo /
-mirror implementations — not approximations — so the property under test
+The perf-opt layers (step cache, the engine's decode-row array pass) are
+exact memo / array implementations — not approximations — so the property under test
 is float *equality*, not closeness.
 """
 
@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.common import metrics_row, metrics_rows, perf_model
+from repro.experiments.common import perf_model
 from repro.hardware.gpus import H100_SXM
 from repro.models.zoo import get_model
 from repro.moe.router import TopKRouter
@@ -66,16 +66,13 @@ class TestStepCacheExactness:
 
 
 class TestVectorizedExactness:
-    @given(st.sampled_from(_MODELS),
-           st.lists(st.tuples(st.integers(1, 128), st.integers(16, 4096),
-                              st.integers(1, 512)),
-                    min_size=1, max_size=6))
+    @given(st.sampled_from(_MODELS), st.integers(1, 128),
+           st.lists(st.integers(1, 4096), min_size=1, max_size=6))
     @_settings
-    def test_sweep_equals_scalar_loop(self, model, shapes):
-        pm = perf_model(get_model(model))
-        fast = metrics_rows(pm, shapes)
-        slow = [metrics_row(pm, b, i, o) for b, i, o in shapes]
-        assert fast == slow
+    def test_sweep_equals_scalar_loop(self, model, batch, contexts):
+        steps = perf_model(get_model(model)).steps
+        row = steps.decode_totals(batch, contexts)
+        assert row == [steps.decode_step_time(batch, c) for c in contexts]
 
 
 class TestRouteCountsExactness:

@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import pathlib
+import re
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -104,10 +108,35 @@ def test_set_order_leak_shows_under_another_hash_seed(planted):
 
 def test_scalar_only_bit_flip_named_with_hex(planted):
     block = _block(planted.out, "scalar_flip")
-    assert f"{SCALAR_MODE} diverged from in-process at row 1" in block
+    assert re.search(re.escape(SCALAR_MODE) + r", PYTHONHASHSEED=\d+ "
+                     "diverged from in-process at row 1", block)
     assert "0x1.999999999999ap-4" in block
     assert "0x1.999999999999bp-4" in block
     assert HASH_MODE not in block
+
+
+def test_both_workers_have_fixed_hash_seeds_of_their_own(tmp_path):
+    # the three keys iterate alike under the caller's seed 5 and the
+    # PYTHONHASHSEED worker's seed 1; only a fast-paths-off worker with
+    # a third fixed seed, not the inherited 5, sees the leak
+    script = ("import sys\n"
+              "from repro.gate import gate\n"
+              "from repro.scenarios import Scenario\n"
+              "from tests import gate_plants\n"
+              "sys.exit(gate([Scenario('keys', "
+              "gate_plants.three_key_set_order)], bench_dir=sys.argv[1]))\n")
+    env = {**os.environ, "PYTHONHASHSEED": "5",
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT)])}
+    for var in FAST_PATHS_OFF:
+        env.pop(var, None)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    block = _block(proc.stdout, "keys")
+    assert f"{SCALAR_MODE}, PYTHONHASHSEED=2 diverged from in-process " \
+        "at row 0" in block
+    assert f"{HASH_MODE}1, pool of 2 diverged" not in block
 
 
 def test_violated_invariant_fails_every_mode(planted):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import subprocess
 
 from repro.core.experiment import ExperimentResult
 from repro.core.results import ResultTable
@@ -125,6 +126,34 @@ class TestSuspects:
         deps = loaded_repro_modules()
         assert "src/repro/obs/regress.py" in deps
         assert all(p.startswith("src/repro/") for p in deps)
+
+    def test_first_suspect_is_the_most_recent_change(self, tmp_path):
+        # a commit since the baseline touched experiment.py, then an
+        # uncommitted edit touched gpus.py: the edit is the first suspect,
+        # though experiment.py sorts first by path
+        import repro.core.experiment  # noqa: F401 - both modules loaded
+        import repro.hardware.gpus  # noqa: F401
+        from repro.obs.regress import first_suspect
+
+        def git(*args: str) -> str:
+            return subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                cwd=tmp_path, check=True, capture_output=True,
+                text=True).stdout.strip()
+
+        experiment = tmp_path / "src/repro/core/experiment.py"
+        gpus = tmp_path / "src/repro/hardware/gpus.py"
+        for path in (experiment, gpus):
+            path.parent.mkdir(parents=True)
+            path.write_text("x = 1\n")
+        git("init", "-q")
+        git("add", "-A")
+        git("commit", "-qm", "baseline")
+        baseline = git("rev-parse", "HEAD")
+        experiment.write_text("x = 2\n")
+        git("commit", "-qam", "later")
+        gpus.write_text("x = 2\n")
+        assert first_suspect(baseline, tmp_path) == "src/repro/hardware/gpus.py"
 
 
 class TestOverhead:

@@ -141,12 +141,12 @@ class TestTokenMemo:
         steps = _steps()
         steps.decode_step_time(4, 128)
         steps.decode_step_time(4, 129)
-        steps.decode_totals([4] * 3, [7, 8, 9])
+        steps.decode_totals(4, [7, 8, 9])
         assert list(fresh_cache.token_terms) == [(steps.setup_id, 4.0, 4.0)]
 
     def test_leaves_stats_unchanged(self, fresh_cache):
         steps = _steps()
-        steps.decode_totals([3] * 5, range(1, 6))
+        steps.decode_totals(3, range(1, 6))
         steps.step_total_one(2, 2, 64)
         assert len(fresh_cache.token_terms) == 2
         assert stepcache.stats() == stepcache.CacheStats()
@@ -179,14 +179,8 @@ class TestTokenMemo:
         stepcache.configure(enabled=False)
         steps = _steps()
         steps.decode_step_time(2, 64)
-        steps.decode_totals([2] * 4, [1, 2, 3, 4])
+        steps.decode_totals(2, [1, 2, 3, 4])
         steps.step_total_one(128, 1, 128, 64.5)
-        assert not fresh_cache.token_terms
-
-    def test_array_axes_stay_unmemoized(self, fresh_cache):
-        steps = _steps()
-        steps.decode_totals([1, 2, 3], [16, 16, 16])
-        steps.prefill_totals([1, 1], [64, 128])
         assert not fresh_cache.token_terms
 
 

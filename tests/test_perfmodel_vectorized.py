@@ -1,15 +1,12 @@
-"""Exact-equivalence tests for the step model's array (sweep) path."""
+"""Exact-equivalence tests for the step model's array path: the serving
+engine's decode row, ``StepModel.decode_totals(batch, contexts)``, one
+scalar batch over a float64 array of contexts."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import (
-    metrics_row,
-    metrics_rows,
-    perf_model,
-    vectorize_enabled,
-)
+from repro.experiments.common import metrics_rows, perf_model
 from repro.hardware.gpus import H100_SXM
 from repro.models.zoo import get_model
 from repro.optim.quantization import FP8_CONFIG
@@ -18,14 +15,15 @@ from repro.parallel.plan import ParallelPlan
 from repro.perfmodel.inference import InferencePerfModel
 from repro.perfmodel.phases import StepModel
 
-SHAPES = [(1, 128, 128), (4, 512, 64), (16, 1024, 1), (64, 2048, 256),
-          (128, 256, 32)]
+BATCHES = [1, 4, 16, 64, 128]
+CONTEXTS = [1, 2, 63, 64, 129, 512, 1025, 2048, 4096]
 
 
-def _assert_rows_identical(pm, shapes, images=0):
-    fast = metrics_rows(pm, shapes, images=images)
-    slow = [metrics_row(pm, b, i, o, images=images) for b, i, o in shapes]
-    assert fast == slow  # dict equality — every float bit-identical
+def _assert_rows_identical(steps, contexts=CONTEXTS, batches=BATCHES):
+    for b in batches:
+        row = steps.decode_totals(b, contexts)
+        # list equality of Python floats — every bit identical
+        assert row == [steps.decode_step_time(b, c) for c in contexts]
 
 
 class TestExactEquivalence:
@@ -34,7 +32,7 @@ class TestExactEquivalence:
         "Qwen1.5-MoE-A2.7B", "Qwen3-30B-A3B", "Phi-3.5-MoE",
     ])
     def test_default_deployments(self, model):
-        _assert_rows_identical(perf_model(get_model(model)), SHAPES)
+        _assert_rows_identical(perf_model(get_model(model)).steps)
 
     @pytest.mark.parametrize("plan", [
         ParallelPlan(tp=2), ParallelPlan(tp=4, ep=4), ParallelPlan(tp=4, pp=2),
@@ -42,51 +40,54 @@ class TestExactEquivalence:
     ])
     def test_parallel_plans(self, plan):
         pm = InferencePerfModel(get_model("Mixtral-8x7B"), H100_SXM, plan=plan)
-        _assert_rows_identical(pm, SHAPES)
+        _assert_rows_identical(pm.steps)
 
     def test_quantized(self):
         pm = InferencePerfModel(get_model("Mixtral-8x7B"), H100_SXM,
                                 plan=ParallelPlan(tp=2), quant=FP8_CONFIG)
-        _assert_rows_identical(pm, SHAPES)
+        _assert_rows_identical(pm.steps)
 
     def test_unfused_moe(self):
         pm = InferencePerfModel(get_model("Qwen1.5-MoE-A2.7B"), H100_SXM,
                                 fused_moe=False)
-        _assert_rows_identical(pm, SHAPES)
+        _assert_rows_identical(pm.steps)
 
     def test_mla_native(self):
         pm = InferencePerfModel(get_model("DeepSeek-V2-Lite"), H100_SXM,
                                 mla_native=True)
-        _assert_rows_identical(pm, SHAPES)
+        _assert_rows_identical(pm.steps)
 
     def test_vlm_with_images(self):
-        pm = perf_model(get_model("DeepSeek-VL2-Tiny"))
-        _assert_rows_identical(pm, [(1, 128, 64), (8, 256, 128)], images=2)
+        # contexts of prompts that each carry two images
+        model = get_model("DeepSeek-VL2-Tiny")
+        image_tokens = 2 * model.vision.image_tokens
+        _assert_rows_identical(perf_model(model).steps,
+                               [p + image_tokens for p in (128, 256)])
 
     def test_single_decode_step_edge(self):
-        # output_tokens == 1 means no decode phase at all
-        pm = perf_model(get_model("OLMoE-1B-7B"))
-        _assert_rows_identical(pm, [(2, 64, 1), (2, 64, 2)])
+        # a one-context row, the shortest context, and an empty row
+        steps = perf_model(get_model("OLMoE-1B-7B")).steps
+        _assert_rows_identical(steps, [1])
+        _assert_rows_identical(steps, [4096])
+        assert steps.decode_totals(8, []) == []
 
     @pytest.mark.parametrize("model", [
         "OLMoE-1B-7B", "Mixtral-8x7B", "DeepSeek-V2-Lite",
     ])
     def test_step_total_one_matches_scalar_and_batched(self, model):
         """The engine fast path's one-point entry must agree bit-for-bit
-        with both the breakdown path and the batched array pass over the
-        same shapes (the polymorphic helpers dispatch float vs array, but
-        every arithmetic op is the same IEEE-754 operation)."""
+        with the breakdown path and, on decode shapes, with the decode
+        row over the same context (the polymorphic helpers dispatch float
+        vs array, but every arithmetic op is the same IEEE-754 operation)."""
         steps = StepModel(get_model(model), H100_SXM)
         shapes = [(1, 1, 1, None), (8, 8, 512, None), (64, 64, 4096, None),
                   (256, 4, 256, 128.5), (2048, 16, 2048, 1024.5)]
         for m, b, kv, att in shapes:
             one = steps.step_total_one(m, b, kv, att)
             assert type(one) is float
-            batched = steps.step_totals([m], [b], [kv],
-                                        None if att is None else [att])[0]
-            assert one == batched
             if att is None and m == b:
                 assert one == steps.decode_step_time(b, kv)
+                assert one == steps.decode_totals(b, [kv])[0]
             else:
                 scalar = steps.step_breakdown(
                     num_tokens=m, batch=b, kv_len=kv, phase="prefill",
@@ -102,25 +103,16 @@ class TestExactEquivalence:
 
     def test_flat_efficiency_arrays_match_floats(self):
         """The flat-efficiency ablation overrides only the GEMM-efficiency
-        hook, so its array pass is the same core as its float path."""
+        hook, so its decode row is the same core as its float path."""
         flat = _FlatEfficiencyStepModel(get_model("Mixtral-8x7B"), H100_SXM,
                                         plan=ParallelPlan(tp=4))
-        batches, prompts = [1, 4, 16, 64], [512, 128, 512, 2048]
-        assert flat.prefill_totals(batches, prompts) == [
-            flat.prefill_time(b, p) for b, p in zip(batches, prompts)]
-        assert flat.prefill_time(1, 512) != StepModel(
+        _assert_rows_identical(flat)
+        assert flat.decode_totals(64, [512]) != StepModel(
             get_model("Mixtral-8x7B"), H100_SXM,
-            plan=ParallelPlan(tp=4)).prefill_time(1, 512)
+            plan=ParallelPlan(tp=4)).decode_totals(64, [512])
 
 
 class TestFallbacks:
-    def test_escape_hatch_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_VECTORIZE", "1")
-        assert not vectorize_enabled()
-        pm = perf_model(get_model("OLMoE-1B-7B"))
-        rows = metrics_rows(pm, SHAPES)
-        assert rows == [metrics_row(pm, b, i, o) for b, i, o in SHAPES]
-
     def test_instrumented_model_uses_scalar_path(self):
         from repro.obs.instrument import Instrumentation
 
@@ -131,12 +123,10 @@ class TestFallbacks:
         metrics_rows(pm, shapes)
         evals = [m for m in obs.metrics.snapshot()["metrics"]
                  if m["name"] == "perfmodel_evaluations_total"]
-        assert evals  # the scalar path kept the eval counters alive
+        assert evals  # the per-point path kept the eval counters alive
 
     def test_vectorized_returns_python_floats(self):
         # np.float64 leaking into tables would corrupt repr()-based digests
-        pm = perf_model(get_model("OLMoE-1B-7B"))
-        for row in metrics_rows(pm, SHAPES):
-            for key, value in row.items():
-                if key != "fits":
-                    assert type(value) is float, (key, type(value))
+        steps = perf_model(get_model("OLMoE-1B-7B")).steps
+        for value in steps.decode_totals(16, CONTEXTS):
+            assert type(value) is float, type(value)
