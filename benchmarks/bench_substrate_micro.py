@@ -14,9 +14,8 @@ import pytest
 
 from repro.hardware.gpus import H100_SXM
 from repro.models.config import MoEConfig
-from repro.models.zoo import OLMOE_1B_7B, get_model
+from repro.models.zoo import OLMOE_1B_7B
 from repro.moe.layer import MoELayer
-from repro.moe.model import MoETransformer
 from repro.moe.router import TopKRouter
 from repro.perfmodel.inference import InferencePerfModel
 from repro.serving.engine import ServingEngine
@@ -43,26 +42,6 @@ def test_moe_layer_fused(benchmark):
 def test_moe_layer_unfused(benchmark):
     out = benchmark(_LAYER, _TOKENS, "unfused")
     assert out.hidden.shape == _TOKENS.shape
-
-
-def test_transformer_decode_step(benchmark):
-    cfg = get_model("OLMoE-1B-7B").scaled(1 / 32)
-    model = MoETransformer(cfg, seed=0, max_positions=128)
-    caches = model.new_caches(4, 128)
-    prompt = _RNG.integers(0, cfg.vocab_size, size=(4, 16))
-    model.forward(prompt, caches)
-    step = _RNG.integers(0, cfg.vocab_size, size=(4, 1))
-
-    def decode():
-        # rewind the cache so each round does identical work
-        length = caches[0].length
-        logits = model.forward(step, caches)
-        for c in caches:
-            c.length = length
-        return logits
-
-    logits = benchmark(decode)
-    assert logits.shape == (4, 1, cfg.vocab_size)
 
 
 def test_perfmodel_generate(benchmark):

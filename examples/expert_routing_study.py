@@ -1,14 +1,9 @@
 #!/usr/bin/env python
-"""Expert routing study: balance, frequency-based pruning, and fidelity.
+"""Expert routing study: activation balance of two MoE VLM routers.
 
-Reproduces the paper's §8.3 workflow end-to-end on the functional engine:
-
-1. route an MME-like multimodal stream through balanced (DeepSeek-style)
-   and unbalanced (MolmoE-style) routers and compare activation heatmaps;
-2. use the activation statistics to prune the least-used experts
-   (inter-expert pruning, §6.2) on a live reduced-width model;
-3. measure how pruning and quantization perturb model predictions with
-   the agreement harness.
+Reproduces the paper's §8.3 activation-frequency study (Fig. 15): route an
+MME-like multimodal stream through a balanced (DeepSeek-style) and an
+unbalanced (MolmoE-style) router and compare their activation heatmaps.
 
 Run:  python examples/expert_routing_study.py
 """
@@ -17,9 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.evals import make_task_suite
 from repro.models import get_model
-from repro.moe import MoETransformer, inter_expert_prune_layer
 from repro.workloads import MMEStream, run_activation_study
 
 
@@ -38,61 +31,15 @@ def ascii_heat(counts: np.ndarray, width: int = 64) -> str:
 def main() -> None:
     rng = np.random.default_rng(7)
 
-    # ------------------------------------------------------------------ #
-    # 1. activation frequency: balanced vs unbalanced training (Fig. 15)
-    # ------------------------------------------------------------------ #
     print("Routing the MME-like stream (2,374 samples) through the routers:\n")
-    trackers = {}
     for name in ("DeepSeek-VL2-Tiny", "MolmoE-1B"):
         tracker = run_activation_study(get_model(name), stream=MMEStream(),
                                        rng=rng, max_routed_tokens=40_000)
-        trackers[name] = tracker
         m = tracker.overall_metrics()
         print(f"{name}: peak {tracker.peak_activation():>9,}  "
               f"gini {m.gini:.3f}  max/mean {m.imbalance:.2f}")
         print(ascii_heat(tracker.heatmap()[:6]))
         print()
-
-    # ------------------------------------------------------------------ #
-    # 2. frequency-based inter-expert pruning on a live model
-    # ------------------------------------------------------------------ #
-    cfg = get_model("OLMoE-1B-7B").scaled(1 / 32)
-    model = MoETransformer(cfg, seed=0, max_positions=64,
-                           expert_bias_std=0.6, track_activations=True)
-    probe = rng.integers(0, cfg.vocab_size, size=(32, 16))
-    model(probe)  # gather activation statistics
-
-    layer0 = model.layers[0].ffn
-    counts = model.tracker.heatmap()[0]
-    pruned = inter_expert_prune_layer(layer0, ratio=0.5,
-                                      activation_counts=counts)
-    x = rng.normal(0, 1, (64, cfg.hidden_size)).astype(np.float32)
-    base_out = layer0(x).hidden
-    pruned_out = pruned(x).hidden
-    drift = float(np.linalg.norm(base_out - pruned_out)
-                  / np.linalg.norm(base_out))
-    print(f"Inter-expert pruning layer 0 by activation frequency: "
-          f"{layer0.cfg.num_experts} -> {pruned.cfg.num_experts} experts")
-    print(f"  relative output drift: {100 * drift:.1f}% "
-          "(frequency-guided pruning keeps the hot experts)\n")
-
-    # ------------------------------------------------------------------ #
-    # 3. fidelity of optimized variants (agreement harness)
-    # ------------------------------------------------------------------ #
-    reference = MoETransformer(cfg, seed=0, max_positions=64)
-    variants = {
-        "fp8 weights": MoETransformer(cfg, seed=0, max_positions=64,
-                                      weight_dtype="fp8_e4m3"),
-        "int4 weights": MoETransformer(cfg, seed=0, max_positions=64,
-                                       weight_dtype="int4"),
-    }
-    tasks = make_task_suite(num_tasks=3, batch=16, seq_len=12)
-    print("Prediction agreement vs the FP32 reference:")
-    for name, candidate in variants.items():
-        results = [t.evaluate(reference, candidate) for t in tasks]
-        top1 = np.mean([r.top1_agreement for r in results])
-        rmse = np.mean([r.mean_logit_rmse for r in results])
-        print(f"  {name:13s}: top-1 {100 * top1:5.1f}%   logit RMSE {rmse:.4f}")
 
 
 if __name__ == "__main__":

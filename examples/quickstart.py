@@ -1,21 +1,16 @@
 #!/usr/bin/env python
-"""Quickstart: the three layers of MoE-Inference-Bench in five minutes.
+"""Quickstart: the model zoo and the performance model in five minutes.
 
 1. the model zoo + parameter accounting,
-2. the analytical performance model (throughput/latency on simulated H100s),
-3. the functional NumPy engine (a real forward pass through a reduced-width
-   MoE transformer).
+2. the analytical performance model (throughput/latency on simulated H100s).
 
 Run:  python examples/quickstart.py
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.hardware import H100_SXM
 from repro.models import get_model, model_params
-from repro.moe import MoETransformer
 from repro.optim import FP8_CONFIG, FP16_CONFIG
 from repro.parallel import ParallelPlan
 from repro.perfmodel import InferencePerfModel
@@ -55,20 +50,6 @@ def main() -> None:
     pm = InferencePerfModel(model, H100_SXM, plan=ParallelPlan(tp=4))
     bd = pm.steps.step_breakdown(32, 32, 1536, "decode")
     print("\n" + bd.describe())
-
-    # ------------------------------------------------------------------ #
-    # 3. a real forward pass through the functional engine
-    # ------------------------------------------------------------------ #
-    tiny = get_model("OLMoE-1B-7B").scaled(1 / 32)
-    engine = MoETransformer(tiny, seed=0, max_positions=64,
-                            track_activations=True)
-    prompt = np.random.default_rng(0).integers(0, tiny.vocab_size, size=(2, 8))
-    generated = engine.generate_greedy(prompt, max_new_tokens=8)
-    print(f"\nFunctional engine ({tiny.hidden_size}-wide OLMoE skeleton):")
-    print(f"  generated ids : {generated[0].tolist()}")
-    heat = engine.tracker.heatmap()
-    print(f"  expert activations recorded: {heat.sum():,} across "
-          f"{heat.shape[0]} layers x {heat.shape[1]} experts")
 
 
 if __name__ == "__main__":

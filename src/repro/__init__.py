@@ -9,10 +9,10 @@ Subpackages
 ``repro.models``
     Architecture configs for every model in the paper, parameter accounting.
 ``repro.tensor``
-    NumPy tensor engine: dtypes/quantization, linear, attention, norms.
+    NumPy tensor substrate: dtypes/quantization, linear, activations, top-k.
 ``repro.moe``
     MoE substrate: top-k router, experts, fused/unfused layer, routing stats,
-    pruning transforms.
+    pruning config transforms.
 ``repro.hardware``
     Hardware specs (H100, A100, CS-3), roofline kernel model, interconnects.
 ``repro.perfmodel``
@@ -26,7 +26,7 @@ Subpackages
 ``repro.optim``
     Quantization, speculative decoding, fused-MoE optimization models.
 ``repro.evals``
-    Accuracy reference tables and functional eval harness.
+    Accuracy reference tables and the accuracy-efficiency frontier.
 ``repro.workloads``
     Batch/trace/multimodal workload generators.
 ``repro.core``

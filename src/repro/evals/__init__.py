@@ -1,4 +1,4 @@
-"""Accuracy reference tables and functional evaluation harness (paper §8)."""
+"""Accuracy reference tables and the accuracy-efficiency frontier (paper §8)."""
 
 from repro.evals.accuracy import (
     LLM_TASK_ACCURACY,
@@ -9,12 +9,7 @@ from repro.evals.accuracy import (
     predicted_accuracy,
     task_accuracy,
 )
-from repro.evals.harness import (
-    FrontierPoint,
-    accuracy_efficiency_frontier,
-    fidelity_sweep,
-)
-from repro.evals.tasks import AgreementResult, AgreementTask, make_task_suite
+from repro.evals.harness import FrontierPoint, accuracy_efficiency_frontier
 
 __all__ = [
     "LLM_TASK_ACCURACY",
@@ -26,8 +21,4 @@ __all__ = [
     "task_accuracy",
     "FrontierPoint",
     "accuracy_efficiency_frontier",
-    "fidelity_sweep",
-    "AgreementResult",
-    "AgreementTask",
-    "make_task_suite",
 ]

@@ -1,26 +1,21 @@
-"""Evaluation harness: accuracy-efficiency frontiers and fidelity sweeps.
+"""Evaluation harness: accuracy-efficiency frontiers.
 
-Assembles the data behind the paper's Figs. 17/18 (throughput & latency vs
-average accuracy) and runs functional fidelity evaluations of optimized
-model variants through the synthetic task suite.
+Assembles the data behind the paper's Figs. 17/18: each model's simulated
+throughput and latency, paired with its reported average accuracy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.evals.accuracy import average_accuracy
-from repro.evals.tasks import AgreementResult, AgreementTask, make_task_suite
 from repro.hardware.spec import HardwareSpec
 from repro.models.config import ModelConfig
-from repro.moe.model import MoETransformer
 from repro.optim.quantization import FP16_CONFIG, QuantConfig
 from repro.parallel.plan import SINGLE_DEVICE, ParallelPlan
 from repro.perfmodel.inference import InferencePerfModel
 
-__all__ = ["FrontierPoint", "accuracy_efficiency_frontier", "fidelity_sweep"]
+__all__ = ["FrontierPoint", "accuracy_efficiency_frontier"]
 
 
 @dataclass(frozen=True)
@@ -72,19 +67,3 @@ def accuracy_efficiency_frontier(
             oom=not pm.fits(batch, input_tokens + output_tokens),
         ))
     return points
-
-
-def fidelity_sweep(
-    config: ModelConfig,
-    variants: dict[str, MoETransformer],
-    reference: MoETransformer | None = None,
-    tasks: list[AgreementTask] | None = None,
-) -> dict[str, list[AgreementResult]]:
-    """Evaluate optimized variants against an FP32 reference on the
-    synthetic task suite; returns results per variant."""
-    tasks = tasks or make_task_suite()
-    reference = reference or MoETransformer(config, seed=0)
-    out: dict[str, list[AgreementResult]] = {}
-    for name, candidate in variants.items():
-        out[name] = [t.evaluate(reference, candidate) for t in tasks]
-    return out

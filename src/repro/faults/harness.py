@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.faults.injector import FaultDomain, FaultInjector
 from repro.faults.policies import (
     DegradePolicy,
@@ -146,7 +144,6 @@ def build_chaos_engine(config: ChaosConfig | None = None,
         perf,
         scheduler_config=SchedulerConfig(max_num_seqs=64),
         kv_pool_tokens=config.kv_pool_tokens,
-        rng=np.random.default_rng(0),
         instrumentation=instrumentation,
         fault_injector=injector,
     )

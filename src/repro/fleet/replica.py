@@ -17,8 +17,6 @@ orchestrator does.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.perfmodel.inference import InferencePerfModel
 from repro.serving.engine import ServingEngine
 from repro.serving.events import Event, EventType
@@ -45,7 +43,6 @@ class Replica:
             perf,
             scheduler_config=scheduler_config,
             kv_pool_tokens=kv_pool_tokens,
-            rng=np.random.default_rng(replica_id),
             enable_prefix_caching=enable_prefix_caching,
         )
         self.engine.clock = now

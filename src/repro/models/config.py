@@ -7,16 +7,15 @@ MLA), MoE geometry (expert count, top-k, expert FFN width, shared experts),
 and the optional vision tower of a VLM.
 
 Everything downstream — parameter accounting (:mod:`repro.models.params`),
-the analytical performance model (:mod:`repro.perfmodel`) and the functional
-NumPy engine (:mod:`repro.tensor`, :mod:`repro.moe`) — is driven purely by
-these configs, so a new model is added by writing one config entry.
+the analytical performance model (:mod:`repro.perfmodel`) and the router of
+the activation studies (:mod:`repro.moe`) — is driven purely by these
+configs, so a new model is added by writing one config entry.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -317,51 +316,3 @@ class ModelConfig:
 
     def with_name(self, name: str) -> "ModelConfig":
         return dataclasses.replace(self, name=name)
-
-    def scaled(self, hidden_scale: float) -> "ModelConfig":
-        """Return a reduced-size instantiation for functional testing.
-
-        Scales hidden/FFN/head dimensions by ``hidden_scale`` while keeping
-        the layer structure, expert count and top-k intact, so routing
-        semantics are preserved at a width that is cheap to execute in NumPy.
-        """
-        if not (0 < hidden_scale <= 1):
-            raise ValueError(f"hidden_scale must be in (0, 1], got {hidden_scale}")
-
-        def sc(x: int, minimum: int = 1) -> int:
-            return max(minimum, int(round(x * hidden_scale)))
-
-        att = self.attention
-        new_att = dataclasses.replace(
-            att,
-            head_dim=sc(att.head_dim, 2),
-            q_lora_rank=sc(att.q_lora_rank) if att.q_lora_rank else 0,
-            kv_lora_rank=sc(att.kv_lora_rank, 2) if att.kv_lora_rank else 0,
-            qk_rope_head_dim=sc(att.qk_rope_head_dim, 2) if att.qk_rope_head_dim else 0,
-            qk_nope_head_dim=sc(att.qk_nope_head_dim, 2) if att.qk_nope_head_dim else 0,
-            v_head_dim=sc(att.v_head_dim, 2) if att.v_head_dim else 0,
-        )
-        new_moe = None
-        if self.moe is not None:
-            new_moe = dataclasses.replace(
-                self.moe,
-                expert_ffn_dim=sc(self.moe.expert_ffn_dim, 2),
-                shared_expert_ffn_dim=(
-                    sc(self.moe.shared_expert_ffn_dim, 2)
-                    if self.moe.shared_expert_ffn_dim
-                    else 0
-                ),
-            )
-        # hidden size must stay divisible by the head count
-        hidden = max(new_att.num_heads, sc(self.hidden_size, new_att.num_heads))
-        hidden = int(math.ceil(hidden / new_att.num_heads)) * new_att.num_heads
-        return dataclasses.replace(
-            self,
-            hidden_size=hidden,
-            dense_ffn_dim=sc(self.dense_ffn_dim, 2) if self.dense_ffn_dim else 0,
-            vocab_size=max(64, sc(self.vocab_size)),
-            attention=new_att,
-            moe=new_moe,
-            published_total_params=0.0,
-            published_active_params=0.0,
-        )

@@ -1,17 +1,13 @@
-"""MoE substrate: router, experts, fused/unfused layer, stats, pruning."""
+"""MoE substrate: router, experts, fused/unfused layer, stats, pruning configs."""
 
 from repro.moe.experts import ExpertFFN
 from repro.moe.layer import MoELayer, MoELayerOutput
-from repro.moe.model import MoETransformer
 from repro.moe.pruning import (
     PAPER_PRUNING_RATIOS,
     PruningSpec,
     inter_expert_prune_config,
-    inter_expert_prune_layer,
     intra_expert_prune_config,
-    intra_expert_prune_layer,
     prune_model_config,
-    select_experts_to_drop,
 )
 from repro.moe.router import RoutingResult, TopKRouter
 from repro.moe.routing_math import expected_expert_coverage, expected_group_imbalance
@@ -21,15 +17,11 @@ __all__ = [
     "ExpertFFN",
     "MoELayer",
     "MoELayerOutput",
-    "MoETransformer",
     "PAPER_PRUNING_RATIOS",
     "PruningSpec",
     "inter_expert_prune_config",
-    "inter_expert_prune_layer",
     "intra_expert_prune_config",
-    "intra_expert_prune_layer",
     "prune_model_config",
-    "select_experts_to_drop",
     "RoutingResult",
     "TopKRouter",
     "expected_expert_coverage",

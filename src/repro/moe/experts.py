@@ -53,29 +53,3 @@ class ExpertFFN:
         else:
             h = np.maximum(self.up(x), 0.0)  # ReLU MLP
         return self.down(h)
-
-    def pruned_to_ffn_dim(self, new_dim: int, importance: np.ndarray | None = None) -> "ExpertFFN":
-        """Intra-expert pruning: keep the ``new_dim`` most important FFN
-        channels (by L2 norm of the down-projection rows unless an explicit
-        ``importance`` vector is given)."""
-        if not (1 <= new_dim <= self.ffn_dim):
-            raise ValueError(f"new_dim must be in [1, {self.ffn_dim}], got {new_dim}")
-        if importance is None:
-            importance = np.linalg.norm(self.down.weight, axis=1)
-        if importance.shape != (self.ffn_dim,):
-            raise ValueError(
-                f"importance must have shape ({self.ffn_dim},), got {importance.shape}"
-            )
-        keep = np.sort(np.argsort(-importance)[:new_dim])
-        out = ExpertFFN.__new__(ExpertFFN)
-        out.hidden_size = self.hidden_size
-        out.ffn_dim = new_dim
-        out.gated = self.gated
-        out.up = Linear(self.up.weight[:, keep], self.up.dtype)
-        out.down = Linear(self.down.weight[keep, :], self.down.dtype)
-        out.gate = (
-            Linear(self.gate.weight[:, keep], self.gate.dtype)
-            if self.gate is not None
-            else None
-        )
-        return out

@@ -18,7 +18,7 @@ performance comparison (Fig. 14).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,36 +174,3 @@ class MoELayer:
             w = routing.weights[token_idx, slot_idx][:, None]
             np.add.at(out, token_idx, y * w)
         return out, launches
-
-    # ------------------------------------------------------------------ #
-    # pruning transforms (functional counterparts of moe.pruning)
-    # ------------------------------------------------------------------ #
-
-    def pruned_experts(self, remove: np.ndarray) -> "MoELayer":
-        """Inter-expert pruning: drop the given experts and their router
-        columns; surviving experts keep their weights."""
-        remove = np.unique(np.asarray(remove))
-        keep = np.setdiff1d(np.arange(self.cfg.num_experts), remove)
-        if len(keep) == 0:
-            raise ValueError("cannot remove every expert")
-        out = MoELayer.__new__(MoELayer)
-        out.hidden_size = self.hidden_size
-        out.cfg = self.cfg.with_pruned_experts(len(keep))
-        out.router = self.router.drop_experts(remove)
-        out.experts = [self.experts[i] for i in keep]
-        out.shared_experts = list(self.shared_experts)
-        return out
-
-    def pruned_ffn(self, ratio: float) -> "MoELayer":
-        """Intra-expert pruning: shrink every expert's FFN width by ``ratio``
-        (0.25 keeps 75% of channels)."""
-        if not (0.0 < ratio < 1.0):
-            raise ValueError(f"ratio must be in (0, 1), got {ratio}")
-        new_dim = max(1, int(round(self.cfg.expert_ffn_dim * (1.0 - ratio))))
-        out = MoELayer.__new__(MoELayer)
-        out.hidden_size = self.hidden_size
-        out.cfg = self.cfg.with_ffn_dim(new_dim)
-        out.router = self.router
-        out.experts = [e.pruned_to_ffn_dim(new_dim) for e in self.experts]
-        out.shared_experts = list(self.shared_experts)
-        return out

@@ -7,20 +7,16 @@ Two families, matching the paper:
 * **Intra-expert pruning** shrinks every expert's FFN width, keeping the
   expert count — less per-token compute, same routing.
 
-Config-level transforms (for the analytical performance model) and
-functional transforms (operating on a live :class:`MoELayer`) are both
-provided; the paper's ratios {12.5%, 25%, 50%} are exposed as
-``PAPER_PRUNING_RATIOS``.
+Both are config transforms: the analytical performance model prices the
+pruned model (Fig. 11).  The paper's ratios {12.5%, 25%, 50%} are exposed
+as ``PAPER_PRUNING_RATIOS``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.models.config import ModelConfig, MoEConfig
-from repro.moe.layer import MoELayer
 
 __all__ = [
     "PAPER_PRUNING_RATIOS",
@@ -28,9 +24,6 @@ __all__ = [
     "inter_expert_prune_config",
     "intra_expert_prune_config",
     "prune_model_config",
-    "select_experts_to_drop",
-    "inter_expert_prune_layer",
-    "intra_expert_prune_layer",
 ]
 
 PAPER_PRUNING_RATIOS = (0.125, 0.25, 0.50)
@@ -83,44 +76,3 @@ def prune_model_config(model: ModelConfig, spec: PruningSpec) -> ModelConfig:
     else:
         moe = intra_expert_prune_config(model.moe, spec.ratio)
     return model.with_moe(moe).with_name(f"{model.name}[{spec.label}]")
-
-
-def select_experts_to_drop(
-    activation_counts: np.ndarray, ratio: float
-) -> np.ndarray:
-    """Frequency-based expert selection: drop the least-activated experts.
-
-    This is the criterion of Lu et al. ("Not all experts are equal"), the
-    inter-expert pruning method the paper cites.
-    """
-    counts = np.asarray(activation_counts)
-    if counts.ndim != 1:
-        raise ValueError("activation_counts must be 1-D")
-    n_drop = int(round(counts.size * ratio))
-    if n_drop >= counts.size:
-        raise ValueError("ratio would drop every expert")
-    if n_drop == 0:
-        return np.empty(0, dtype=np.intp)
-    order = np.argsort(counts, kind="stable")  # ascending: least-used first
-    return np.sort(order[:n_drop])
-
-
-def inter_expert_prune_layer(
-    layer: MoELayer, ratio: float, activation_counts: np.ndarray | None = None
-) -> MoELayer:
-    """Functional inter-expert pruning of a live layer.
-
-    Without activation statistics, experts are dropped by smallest router
-    column norm (a weight-only criterion usable at load time).
-    """
-    if activation_counts is None:
-        activation_counts = np.linalg.norm(layer.router.weight, axis=0)
-    drop = select_experts_to_drop(activation_counts, ratio)
-    if drop.size == 0:
-        return layer
-    return layer.pruned_experts(drop)
-
-
-def intra_expert_prune_layer(layer: MoELayer, ratio: float) -> MoELayer:
-    """Functional intra-expert pruning of a live layer."""
-    return layer.pruned_ffn(ratio)

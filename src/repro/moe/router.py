@@ -260,20 +260,3 @@ class TopKRouter:
         m = logits.max(axis=-1, keepdims=True)
         lse = (m + np.log(np.sum(np.exp(logits - m), axis=-1, keepdims=True))).ravel()
         return float(np.mean(lse**2))
-
-    def drop_experts(self, remove: np.ndarray) -> "TopKRouter":
-        """Return a router with the given expert columns removed
-        (inter-expert pruning keeps routing weights of survivors)."""
-        remove = np.asarray(remove)
-        keep = np.setdiff1d(np.arange(self.num_experts), remove)
-        if len(keep) == 0:
-            raise ValueError("cannot remove every expert")
-        out = TopKRouter.__new__(TopKRouter)
-        out.hidden_size = self.hidden_size
-        out.num_experts = len(keep)
-        out.top_k = min(self.top_k, len(keep))
-        out.renormalize = self.renormalize
-        out.weight = np.ascontiguousarray(self.weight[:, keep])
-        out.bias = np.ascontiguousarray(self.bias[keep])
-        out._observers = []  # observers are bound to this router's geometry
-        return out

@@ -2,9 +2,9 @@
 
 A :class:`QuantConfig` fixes the storage dtype of weights, activations and
 the KV cache, plus the dtype GEMM math executes in.  The performance model
-consumes the byte widths and compute dtype; the functional engine consumes
-the same config to fake-quantize weights and measure numeric error, so both
-sides of the quantization trade-off come from one object.
+consumes the byte widths and compute dtype; :func:`quantization_error`
+fake-quantizes weights with the same config to measure numeric error, so
+both sides of the quantization trade-off come from one object.
 """
 
 from __future__ import annotations

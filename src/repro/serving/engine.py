@@ -267,7 +267,6 @@ class ServingEngine:
         scheduler_config: SchedulerConfig | None = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
         kv_pool_tokens: int | None = None,
-        rng: np.random.Generator | None = None,
         enable_prefix_caching: bool = False,
         instrumentation: "Instrumentation | None" = None,
         fault_injector: "FaultInjector | None" = None,
@@ -295,7 +294,6 @@ class ServingEngine:
                                    instrumentation=instrumentation)
         self.clock = 0.0
         self.log = EventLog()
-        self._rng = rng or np.random.default_rng(0)
         self._pending: list[Request] = []  # future arrivals, sorted
         self._all: list[Request] = []
         self.faults = fault_injector
@@ -715,11 +713,7 @@ class ServingEngine:
             obs.alerts.on_iteration(self)
 
     def _is_done(self, req: Request) -> bool:
-        if req.generated_tokens >= req.sampling.max_tokens:
-            return True
-        if not req.sampling.ignore_eos and req.sampling.eos_probability > 0:
-            return bool(self._rng.random() < req.sampling.eos_probability)
-        return False
+        return req.generated_tokens >= req.sampling.max_tokens
 
     def _finish_completed(self, reqs: list[Request]) -> None:
         """Handle max_tokens==1 requests that finish at prefill.

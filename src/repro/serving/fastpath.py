@@ -61,9 +61,6 @@ would be "quiet"; anything else returns 0 and the caller runs the plain
   perturb durations);
 * the waiting queue is non-empty (the next iteration may prefill) or a
   pending arrival is due at or before the current clock;
-* any running request samples EOS (``eos_probability > 0`` without
-  ``ignore_eos``) — those draw engine RNG once per token, and RNG order
-  is part of the replay contract;
 * the next iteration would finish a request (windows stop one iteration
   short of the earliest ``max_tokens`` completion) or needs more KV
   blocks than are available (the preemption decision stays scalar);
@@ -245,10 +242,7 @@ class EngineFastPath:
         limit = _MAX_WINDOW
         kv_sum = 0
         for req in running:
-            sampling = req.sampling
-            if not sampling.ignore_eos and sampling.eos_probability > 0:
-                return 0  # per-token EOS draws: the scalar path owns the RNG
-            headroom = sampling.max_tokens - req.generated_tokens - 1
+            headroom = req.sampling.max_tokens - req.generated_tokens - 1
             if headroom < limit:
                 limit = headroom
             kv_sum += req.kv_tokens

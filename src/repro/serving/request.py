@@ -1,7 +1,6 @@
 """Request and sequence abstractions for the serving engine.
 
-The simulator tracks token *counts* and timing rather than token ids (the
-functional engine in :mod:`repro.tensor`/:mod:`repro.moe` covers numerics);
+The simulator tracks token *counts* and timing rather than token ids;
 a :class:`Request` carries everything the scheduler and metrics need:
 prompt length, generation budget, arrival time, and the per-phase
 timestamps from which TTFT/ITL/E2E are derived.
@@ -20,16 +19,11 @@ class SamplingParams:
     """Generation controls (the subset that affects serving behaviour)."""
 
     max_tokens: int
-    ignore_eos: bool = True
-    """Benchmark mode: always generate exactly ``max_tokens``."""
-    eos_probability: float = 0.0
-    """Per-step chance of early stop when ``ignore_eos`` is False."""
+    """Benchmark mode: every request generates exactly ``max_tokens``."""
 
     def __post_init__(self) -> None:
         if self.max_tokens <= 0:
             raise ValueError(f"max_tokens must be positive, got {self.max_tokens}")
-        if not (0.0 <= self.eos_probability <= 1.0):
-            raise ValueError("eos_probability must be in [0, 1]")
 
 
 class RequestState(enum.Enum):

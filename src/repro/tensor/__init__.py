@@ -1,6 +1,6 @@
-"""NumPy tensor engine: dtypes, quantization kernels, functional ops, layers."""
+"""NumPy tensor substrate of the MoE layer: dtypes, quantization kernels,
+the router and expert ops, the linear layer."""
 
-from repro.tensor.attention import Attention, KVCache
 from repro.tensor.dtypes import (
     BF16,
     DTYPES,
@@ -17,12 +17,6 @@ from repro.tensor.dtypes import (
     quantize_int,
 )
 from repro.tensor.functional import (
-    apply_rope,
-    causal_mask,
-    gelu,
-    log_softmax,
-    rms_norm,
-    rope_frequencies,
     silu,
     softmax,
     swiglu,
@@ -31,8 +25,6 @@ from repro.tensor.functional import (
 from repro.tensor.linear import Linear, init_weight
 
 __all__ = [
-    "Attention",
-    "KVCache",
     "BF16",
     "DTYPES",
     "FP8_E4M3",
@@ -46,12 +38,6 @@ __all__ = [
     "quantize_dequantize",
     "quantize_fp8",
     "quantize_int",
-    "apply_rope",
-    "causal_mask",
-    "gelu",
-    "log_softmax",
-    "rms_norm",
-    "rope_frequencies",
     "silu",
     "softmax",
     "swiglu",

@@ -3,7 +3,7 @@
 Defines the datatype registry used throughout the suite — each entry knows
 its storage width (which drives the memory/bandwidth side of the roofline
 model) and, for the quantized formats, a real NumPy quantize/dequantize
-kernel so the functional engine can measure accuracy effects.
+kernel that measures a format's numeric error.
 
 FP8 follows the E4M3 layout used by H100 tensor cores (1 sign, 4 exponent,
 3 mantissa bits, no inf, max ±448).  INT8/INT4 use symmetric per-channel

@@ -1,4 +1,4 @@
-"""Stateless tensor ops for the NumPy execution engine.
+"""Stateless tensor ops behind the router and the MoE layer.
 
 All functions are vectorized, operate on the trailing axes, and avoid
 unnecessary copies (views + in-place where safe), per the HPC guide idioms.
@@ -8,18 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "softmax",
-    "log_softmax",
-    "silu",
-    "gelu",
-    "swiglu",
-    "rms_norm",
-    "rope_frequencies",
-    "apply_rope",
-    "top_k_indices",
-    "causal_mask",
-]
+__all__ = ["softmax", "silu", "swiglu", "top_k_indices"]
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -28,13 +17,6 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - np.max(x, axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=axis, keepdims=True)
-
-
-def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable log-softmax along ``axis``."""
-    x = np.asarray(x, dtype=np.float32)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
 def silu(x: np.ndarray) -> np.ndarray:
@@ -46,55 +28,9 @@ def silu(x: np.ndarray) -> np.ndarray:
     return x * 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """GELU activation (tanh approximation, as used by most LLMs)."""
-    x = np.asarray(x, dtype=np.float32)
-    return 0.5 * x * (1.0 + np.tanh(0.7978845608028654 * (x + 0.044715 * x * x * x)))
-
-
 def swiglu(gate: np.ndarray, up: np.ndarray) -> np.ndarray:
     """Gated activation used by SwiGLU FFNs: ``silu(gate) * up``."""
     return silu(gate) * np.asarray(up, dtype=np.float32)
-
-
-def rms_norm(x: np.ndarray, weight: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Root-mean-square LayerNorm over the last axis."""
-    x = np.asarray(x, dtype=np.float32)
-    var = np.mean(x * x, axis=-1, keepdims=True)
-    return x * (1.0 / np.sqrt(var + eps)) * weight
-
-
-def rope_frequencies(head_dim: int, max_positions: int, base: float = 10000.0) -> np.ndarray:
-    """Precompute complex rotary-embedding phases of shape
-    ``(max_positions, head_dim // 2)``."""
-    if head_dim % 2 != 0:
-        raise ValueError(f"head_dim must be even for RoPE, got {head_dim}")
-    inv_freq = 1.0 / (base ** (np.arange(0, head_dim, 2, dtype=np.float64) / head_dim))
-    t = np.arange(max_positions, dtype=np.float64)
-    angles = np.outer(t, inv_freq)
-    return np.exp(1j * angles).astype(np.complex64)
-
-
-def apply_rope(x: np.ndarray, phases: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Apply rotary position embeddings.
-
-    Parameters
-    ----------
-    x:
-        ``(..., seq, head_dim)`` queries or keys.
-    phases:
-        Output of :func:`rope_frequencies`.
-    positions:
-        ``(seq,)`` integer positions of each token.
-    """
-    x = np.asarray(x, dtype=np.float32)
-    head_dim = x.shape[-1]
-    pairs = x[..., 0::2] + 1j * x[..., 1::2]
-    rotated = pairs * phases[positions]  # broadcasts over leading axes
-    out = np.empty_like(x)
-    out[..., 0::2] = rotated.real
-    out[..., 1::2] = rotated.imag
-    return out
 
 
 def top_k_indices(x: np.ndarray, k: int, axis: int = -1) -> np.ndarray:
@@ -112,22 +48,3 @@ def top_k_indices(x: np.ndarray, k: int, axis: int = -1) -> np.ndarray:
     vals = np.take_along_axis(x, topk, axis=axis)
     order = np.argsort(-vals, axis=axis, kind="stable")
     return np.take_along_axis(topk, order, axis=axis)
-
-
-def causal_mask(q_len: int, kv_len: int, sliding_window: int = 0) -> np.ndarray:
-    """Boolean mask of shape ``(q_len, kv_len)``; True where attention is
-    allowed.  Query ``i`` attends to KV positions ``<= kv_len - q_len + i``
-    (standard prefill-with-cache alignment).  A positive ``sliding_window``
-    additionally restricts each query to the last ``sliding_window``
-    positions (Mixtral-style)."""
-    if kv_len < q_len:
-        raise ValueError(f"kv_len ({kv_len}) must be >= q_len ({q_len})")
-    if sliding_window < 0:
-        raise ValueError("sliding_window must be non-negative")
-    offset = kv_len - q_len
-    rows = np.arange(q_len)[:, None]
-    cols = np.arange(kv_len)[None, :]
-    mask = cols <= rows + offset
-    if sliding_window > 0:
-        mask &= cols > rows + offset - sliding_window
-    return mask

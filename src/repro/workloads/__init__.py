@@ -6,8 +6,6 @@ from repro.workloads.generator import (
     PAPER_SEQUENCE_LENGTHS,
     FixedShapeWorkload,
     LengthDistribution,
-    synthetic_hidden_states,
-    synthetic_token_ids,
 )
 from repro.workloads.multimodal import (
     BALANCED_ROUTER_BIAS_STD,
@@ -24,8 +22,6 @@ __all__ = [
     "PAPER_SEQUENCE_LENGTHS",
     "FixedShapeWorkload",
     "LengthDistribution",
-    "synthetic_hidden_states",
-    "synthetic_token_ids",
     "BALANCED_ROUTER_BIAS_STD",
     "MME_NUM_SAMPLES",
     "UNBALANCED_ROUTER_BIAS_STD",

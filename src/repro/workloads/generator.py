@@ -1,9 +1,8 @@
-"""Workload generators: request shapes and token batches.
+"""Workload generators: request shapes and length distributions.
 
 The paper's sweeps use fixed-shape workloads (every request has the same
 input/output length, paper §3.2); real serving studies use distributions.
-Both are provided, along with synthetic token/hidden-state batches for the
-functional engine.
+Both are provided.
 """
 
 from __future__ import annotations
@@ -19,8 +18,6 @@ __all__ = [
     "PAPER_BATCH_SIZES",
     "FixedShapeWorkload",
     "LengthDistribution",
-    "synthetic_hidden_states",
-    "synthetic_token_ids",
 ]
 
 PAPER_SEQUENCE_LENGTHS = (128, 256, 512, 1024, 2048)
@@ -99,22 +96,3 @@ class LengthDistribution:
             for i, ((pi, po), t) in enumerate(zip(pairs, arrival_times))
         ]
 
-
-def synthetic_hidden_states(
-    rng: np.random.Generator, num_tokens: int, hidden_size: int, scale: float = 1.0
-) -> np.ndarray:
-    """Gaussian hidden states for driving the functional MoE engine."""
-    if num_tokens <= 0 or hidden_size <= 0:
-        raise ValueError("num_tokens and hidden_size must be positive")
-    return rng.normal(0.0, scale, size=(num_tokens, hidden_size)).astype(np.float32)
-
-
-def synthetic_token_ids(
-    rng: np.random.Generator, batch: int, seq_len: int, vocab_size: int,
-    zipf_a: float = 1.2,
-) -> np.ndarray:
-    """Zipf-distributed token ids (natural-language-like frequency skew)."""
-    if batch <= 0 or seq_len <= 0 or vocab_size <= 1:
-        raise ValueError("batch, seq_len must be positive and vocab_size > 1")
-    raw = rng.zipf(zipf_a, size=(batch, seq_len))
-    return ((raw - 1) % vocab_size).astype(np.int64)

@@ -86,25 +86,20 @@ class _engine_mode:
 
 def _serve(model_name: str, specs, vectorize: bool, *,
            config: SchedulerConfig | None = None,
-           kv_pool_tokens: int = 32_768,
-           rng_seed: int | None = None) -> str:
+           kv_pool_tokens: int = 32_768) -> str:
     """Run one workload in the given mode; return its exact run digest.
 
-    ``specs`` is a list of ``(prompt, max_tokens, arrival)`` or
-    ``(prompt, max_tokens, arrival, sampling_overrides)`` tuples.
+    ``specs`` is a list of ``(prompt, max_tokens, arrival)`` tuples.
     """
     stepcache.clear()
     with _engine_mode(vectorize):
-        rng = np.random.default_rng(rng_seed) if rng_seed is not None else None
         engine = ServingEngine(_perf(model_name), scheduler_config=config,
-                               kv_pool_tokens=kv_pool_tokens, rng=rng)
+                               kv_pool_tokens=kv_pool_tokens)
         assert (engine.fastpath is not None) == vectorize
-        for rid, spec in enumerate(specs):
-            prompt, out, arrival = spec[:3]
-            overrides = spec[3] if len(spec) > 3 else {}
+        for rid, (prompt, out, arrival) in enumerate(specs):
             engine.submit(Request(
                 request_id=rid, prompt_tokens=prompt,
-                sampling=SamplingParams(max_tokens=out, **overrides),
+                sampling=SamplingParams(max_tokens=out),
                 arrival_time=arrival))
         result = engine.run()
     return run_digest(result)
@@ -151,16 +146,6 @@ class TestDecodeWindowEquivalence:
         preemption order must replay exactly."""
         specs = [(256, 64, 0.0005 * i) for i in range(n)]
         _both_modes_equal(model, specs, kv_pool_tokens=pool)
-
-    @given(st.sampled_from(_MODELS), st.integers(1, 6), st.integers(0, 2**16))
-    @_settings
-    def test_eos_sampling_rng_order(self, model, n, seed):
-        """EOS draws consume engine RNG once per token; the fast path must
-        refuse windows for these requests so draw order is preserved."""
-        specs = [(128, 64, 0.0, {"ignore_eos": False, "eos_probability": 0.05})
-                 for _ in range(n)]
-        specs += [(128, 48, 0.0)]
-        _both_modes_equal(model, specs, rng_seed=seed)
 
     def test_decode_first_policy(self):
         config = SchedulerConfig(policy="decode_first")

@@ -1,8 +1,7 @@
-"""Tests for repro.evals (accuracy tables, agreement tasks, frontier)."""
+"""Tests for repro.evals (accuracy tables, frontier)."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.evals.accuracy import (
@@ -14,11 +13,9 @@ from repro.evals.accuracy import (
     predicted_accuracy,
     task_accuracy,
 )
-from repro.evals.harness import accuracy_efficiency_frontier, fidelity_sweep
-from repro.evals.tasks import AgreementTask, make_task_suite
+from repro.evals.harness import accuracy_efficiency_frontier
 from repro.hardware.gpus import H100_SXM
 from repro.models.zoo import get_model
-from repro.moe.model import MoETransformer
 
 
 class TestAccuracyTables:
@@ -63,46 +60,6 @@ class TestAccuracyTables:
         assert big > small
 
 
-class TestAgreementTasks:
-    @pytest.fixture(scope="class")
-    def cfg(self):
-        return get_model("OLMoE-1B-7B").scaled(1 / 32)
-
-    def test_self_agreement_is_perfect(self, cfg):
-        model = MoETransformer(cfg, seed=0, max_positions=64)
-        task = AgreementTask("t", batch=8, seq_len=12)
-        res = task.evaluate(model, model)
-        assert res.top1_agreement == 1.0
-        assert res.top5_agreement == 1.0
-        assert res.mean_logit_rmse == 0.0
-
-    def test_different_models_disagree(self, cfg):
-        a = MoETransformer(cfg, seed=0, max_positions=64)
-        b = MoETransformer(cfg, seed=99, max_positions=64)
-        res = AgreementTask("t", batch=16, seq_len=12).evaluate(a, b)
-        assert res.top1_agreement < 0.5
-        assert res.mean_logit_rmse > 0
-
-    def test_quantized_variant_mostly_agrees(self, cfg):
-        ref = MoETransformer(cfg, seed=0, max_positions=64)
-        q = MoETransformer(cfg, seed=0, max_positions=64, weight_dtype="fp8_e4m3")
-        res = AgreementTask("t", batch=24, seq_len=12).evaluate(ref, q)
-        assert res.top5_agreement >= res.top1_agreement > 0.4
-
-    def test_vocab_mismatch_rejected(self, cfg, tiny_model):
-        a = MoETransformer(cfg, seed=0, max_positions=32)
-        b = MoETransformer(tiny_model, seed=0, max_positions=32)
-        with pytest.raises(ValueError, match="vocabulary"):
-            AgreementTask("t", 2, 4).evaluate(a, b)
-
-    def test_make_task_suite(self):
-        suite = make_task_suite(num_tasks=3, seed=5)
-        assert len(suite) == 3
-        assert len({t.seed for t in suite}) == 3
-        with pytest.raises(ValueError):
-            make_task_suite(0)
-
-
 class TestHarness:
     def test_frontier_points(self):
         models = [get_model(n) for n in ("OLMoE-1B-7B", "DeepSeek-V2-Lite")]
@@ -113,22 +70,6 @@ class TestHarness:
         assert olmoe.throughput_tok_s > dsv2.throughput_tok_s
         assert olmoe.accuracy < dsv2.accuracy
         assert not olmoe.oom
-
-    def test_fidelity_sweep(self):
-        cfg = get_model("OLMoE-1B-7B").scaled(1 / 32)
-        ref = MoETransformer(cfg, seed=0, max_positions=64)
-        variants = {
-            "fp8": MoETransformer(cfg, seed=0, max_positions=64,
-                                  weight_dtype="fp8_e4m3"),
-            "int4": MoETransformer(cfg, seed=0, max_positions=64,
-                                   weight_dtype="int4"),
-        }
-        tasks = make_task_suite(num_tasks=2, batch=8, seq_len=10)
-        results = fidelity_sweep(cfg, variants, reference=ref, tasks=tasks)
-        assert set(results) == {"fp8", "int4"}
-        fp8_rmse = np.mean([r.mean_logit_rmse for r in results["fp8"]])
-        int4_rmse = np.mean([r.mean_logit_rmse for r in results["int4"]])
-        assert fp8_rmse < int4_rmse
 
 
 class TestDegradedTopkAccuracy:

@@ -19,13 +19,7 @@ def _load(name: str):
     return module
 
 
-ALL_EXAMPLES = (
-    "quickstart",
-    "capacity_planning",
-    "serving_simulation",
-    "expert_routing_study",
-    "scaling_beyond_one_gpu",
-)
+ALL_EXAMPLES = sorted(path.stem for path in EXAMPLES.glob("*.py"))
 
 
 class TestExamples:

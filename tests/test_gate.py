@@ -16,6 +16,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -167,6 +168,29 @@ def test_workers_are_reaped_when_the_gate_is_interrupted(monkeypatch):
         gate([Scenario("interrupted", gate_plants.interrupted)])
     assert len(spawned) == 2
     assert all(proc.returncode is not None for proc in spawned)
+
+
+def test_disabled_overhead_plant_fails_the_overhead_step(monkeypatch,
+                                                         tmp_path):
+    # 1 ms more per run whenever a handle is passed: the disabled path
+    # alone pays it, and the reference run lasts about as long again
+    from repro.obs import harness
+
+    run = harness.reference_serving_run
+
+    def slower(*args, instrumentation=None, **kwargs):
+        result = run(*args, instrumentation=instrumentation, **kwargs)
+        if instrumentation is not None:
+            time.sleep(1e-3)
+        return result
+
+    monkeypatch.setattr(harness, "reference_serving_run", slower)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = gate([], bench_dir=tmp_path)
+    assert code == 1, out.getvalue()
+    assert "[FAIL] disabled-instrumentation overhead exceeds the 2% band" \
+        in out.getvalue()
 
 
 def test_first_divergence_of_a_prefix_is_its_length():

@@ -7,9 +7,11 @@ import pytest
 from repro.hardware.gpus import H100_SXM
 from repro.hardware.roofline import (
     KernelCost,
+    arithmetic_intensity,
     gemm_cost,
     gemm_efficiency,
     gemm_time,
+    is_memory_bound,
     kernel_time,
 )
 
@@ -98,3 +100,18 @@ class TestGemmHelpers:
         t_small = gemm_time(16, 4096, 4096, H100_SXM)
         t_big = gemm_time(4096, 4096, 4096, H100_SXM)
         assert 0 < t_small < t_big
+
+
+class TestRooflineDiagnostics:
+    def test_arithmetic_intensity(self):
+        assert arithmetic_intensity(KernelCost(100, 50)) == 2.0
+        assert arithmetic_intensity(KernelCost(0, 10)) == 0.0
+        assert arithmetic_intensity(KernelCost(5, 0)) == float("inf")
+
+    def test_decode_is_memory_bound_prefill_is_not(self):
+        # decode: 1 token through a big matrix
+        h = 4096
+        decode = KernelCost(flops=2 * 1 * h * h, bytes=h * h * 2)
+        prefill = KernelCost(flops=2 * 65536 * h * h, bytes=h * h * 2)
+        assert is_memory_bound(decode, H100_SXM)
+        assert not is_memory_bound(prefill, H100_SXM)

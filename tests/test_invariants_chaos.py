@@ -49,7 +49,6 @@ def _healthy_engine(perf, *, num_requests, input_tokens, output_tokens,
             policy=policy,
         ),
         kv_pool_tokens=kv_pool_tokens,
-        rng=np.random.default_rng(0),
     )
     for i in range(num_requests):
         engine.submit(Request(

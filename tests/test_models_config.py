@@ -155,20 +155,6 @@ class TestModelConfig:
                 dense_ffn_dim=0, moe=tiny_moe, modality="audio",
             )
 
-    def test_scaled_preserves_structure(self, tiny_model):
-        scaled = tiny_model.scaled(0.5)
-        assert scaled.num_layers == tiny_model.num_layers
-        assert scaled.moe.num_experts == tiny_model.moe.num_experts
-        assert scaled.moe.top_k == tiny_model.moe.top_k
-        assert scaled.hidden_size < tiny_model.hidden_size
-        assert scaled.hidden_size % scaled.attention.num_heads == 0
-
-    def test_scaled_rejects_bad_factor(self, tiny_model):
-        with pytest.raises(ValueError):
-            tiny_model.scaled(0.0)
-        with pytest.raises(ValueError):
-            tiny_model.scaled(1.5)
-
     def test_with_moe_replaces_block(self, tiny_model):
         new_moe = MoEConfig(num_experts=4, top_k=1, expert_ffn_dim=16)
         assert tiny_model.with_moe(new_moe).moe.num_experts == 4

@@ -32,48 +32,3 @@ class TestExpertFFN:
     def test_rejects_bad_dims(self, rng):
         with pytest.raises(ValueError):
             ExpertFFN(0, 16, rng)
-
-
-class TestIntraExpertPruning:
-    def test_pruned_dims(self, rng):
-        e = ExpertFFN(32, 16, rng)
-        p = e.pruned_to_ffn_dim(8)
-        assert p.ffn_dim == 8
-        assert p.up.weight.shape == (32, 8)
-        assert p.down.weight.shape == (8, 32)
-        assert p.gate.weight.shape == (32, 8)
-
-    def test_keeps_most_important_channels(self, rng):
-        e = ExpertFFN(16, 8, rng)
-        importance = np.array([0, 10, 0, 9, 0, 8, 0, 7], dtype=float)
-        p = e.pruned_to_ffn_dim(4, importance=importance)
-        # channels 1,3,5,7 kept, in index order
-        assert np.array_equal(p.down.weight, e.down.weight[[1, 3, 5, 7]])
-
-    def test_full_keep_preserves_function(self, rng):
-        e = ExpertFFN(16, 8, rng)
-        p = e.pruned_to_ffn_dim(8)
-        x = rng.normal(0, 1, (6, 16)).astype(np.float32)
-        assert np.allclose(p(x), e(x), atol=1e-6)
-
-    def test_pruning_reduces_output_change_gradually(self, rng):
-        """Dropping the least-important half changes outputs less than
-        dropping to a single channel."""
-        e = ExpertFFN(16, 32, rng)
-        x = rng.normal(0, 1, (50, 16)).astype(np.float32)
-        full = e(x)
-        half = np.abs(e.pruned_to_ffn_dim(16)(x) - full).mean()
-        one = np.abs(e.pruned_to_ffn_dim(1)(x) - full).mean()
-        assert half < one
-
-    def test_bad_new_dim(self, rng):
-        e = ExpertFFN(16, 8, rng)
-        with pytest.raises(ValueError):
-            e.pruned_to_ffn_dim(0)
-        with pytest.raises(ValueError):
-            e.pruned_to_ffn_dim(9)
-
-    def test_importance_shape_checked(self, rng):
-        e = ExpertFFN(16, 8, rng)
-        with pytest.raises(ValueError):
-            e.pruned_to_ffn_dim(4, importance=np.ones(7))

@@ -78,33 +78,3 @@ class TestSharedExperts:
         layer = MoELayer(32, cfg, rng=rng)
         expected = 32 * 4 + 4 * 3 * 32 * 16 + 3 * 32 * 8
         assert layer.num_params == expected
-
-
-class TestLayerPruning:
-    def test_pruned_experts_forward(self, layer, rng):
-        pruned = layer.pruned_experts(np.array([0, 1]))
-        assert pruned.cfg.num_experts == 6
-        x = rng.normal(0, 1, (10, 64)).astype(np.float32)
-        out = pruned(x)
-        assert out.hidden.shape == (10, 64)
-        assert out.routing.num_experts == 6
-
-    def test_pruned_experts_keeps_survivor_weights(self, layer, rng):
-        pruned = layer.pruned_experts(np.array([0]))
-        assert pruned.experts[0] is layer.experts[1]
-
-    def test_pruned_ffn_forward(self, layer, rng):
-        pruned = layer.pruned_ffn(0.5)
-        assert pruned.cfg.expert_ffn_dim == 16
-        x = rng.normal(0, 1, (10, 64)).astype(np.float32)
-        assert pruned(x).hidden.shape == (10, 64)
-
-    def test_pruned_ffn_ratio_bounds(self, layer):
-        with pytest.raises(ValueError):
-            layer.pruned_ffn(0.0)
-        with pytest.raises(ValueError):
-            layer.pruned_ffn(1.0)
-
-    def test_cannot_remove_all_experts(self, layer):
-        with pytest.raises(ValueError):
-            layer.pruned_experts(np.arange(8))

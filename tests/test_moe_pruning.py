@@ -2,22 +2,17 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.models.config import MoEConfig
 from repro.models.params import model_params
 from repro.models.zoo import OLMOE_1B_7B
-from repro.moe.layer import MoELayer
 from repro.moe.pruning import (
     PAPER_PRUNING_RATIOS,
     PruningSpec,
     inter_expert_prune_config,
-    inter_expert_prune_layer,
     intra_expert_prune_config,
-    intra_expert_prune_layer,
     prune_model_config,
-    select_experts_to_drop,
 )
 
 
@@ -78,56 +73,3 @@ class TestConfigTransforms:
         pruned = model_params(prune_model_config(OLMOE_1B_7B, PruningSpec("intra", 0.5)))
         assert pruned.total < base.total
         assert pruned.active < base.active
-
-
-class TestSelection:
-    def test_drops_least_activated(self):
-        counts = np.array([100, 5, 80, 1, 60, 2, 40, 3])
-        drop = select_experts_to_drop(counts, 0.5)
-        assert set(drop.tolist()) == {1, 3, 5, 7}
-
-    def test_zero_ratio(self):
-        assert select_experts_to_drop(np.arange(8), 0.01).size == 0
-
-    def test_cannot_drop_all(self):
-        with pytest.raises(ValueError):
-            select_experts_to_drop(np.arange(4), 0.99)
-
-    def test_requires_1d(self):
-        with pytest.raises(ValueError):
-            select_experts_to_drop(np.ones((2, 2)), 0.5)
-
-
-class TestLayerTransforms:
-    def test_inter_layer_by_activation(self, rng, tiny_moe):
-        layer = MoELayer(64, tiny_moe, rng=rng)
-        counts = np.array([10, 1, 10, 1, 10, 10, 10, 10])
-        pruned = inter_expert_prune_layer(layer, 0.25, activation_counts=counts)
-        assert pruned.cfg.num_experts == 6
-        assert pruned.experts[0] is layer.experts[0]
-        assert pruned.experts[1] is layer.experts[2]
-
-    def test_inter_layer_weight_criterion(self, rng, tiny_moe):
-        layer = MoELayer(64, tiny_moe, rng=rng)
-        pruned = inter_expert_prune_layer(layer, 0.5)
-        assert pruned.cfg.num_experts == 4
-
-    def test_intra_layer(self, rng, tiny_moe):
-        layer = MoELayer(64, tiny_moe, rng=rng)
-        pruned = intra_expert_prune_layer(layer, 0.5)
-        assert pruned.cfg.expert_ffn_dim == 16
-        x = rng.normal(0, 1, (5, 64)).astype(np.float32)
-        assert pruned(x).hidden.shape == (5, 64)
-
-    def test_inter_layer_zero_drop_returns_layer(self, rng, tiny_moe):
-        layer = MoELayer(64, tiny_moe, rng=rng)
-        assert inter_expert_prune_layer(layer, 0.01) is layer
-
-    def test_pruned_outputs_correlate_with_original(self, rng, tiny_moe):
-        """Mild intra pruning should perturb outputs much less than severe."""
-        layer = MoELayer(64, tiny_moe, rng=rng)
-        x = rng.normal(0, 1, (100, 64)).astype(np.float32)
-        base = layer(x).hidden
-        mild = np.abs(intra_expert_prune_layer(layer, 0.125)(x).hidden - base).mean()
-        severe = np.abs(intra_expert_prune_layer(layer, 0.75)(x).hidden - base).mean()
-        assert mild < severe

@@ -103,27 +103,6 @@ class TestBalanceStatistics:
         assert router.z_loss(x) > 0
 
 
-class TestDropExperts:
-    def test_drop_reduces_experts(self, router, rng):
-        pruned = router.drop_experts(np.array([0, 3]))
-        assert pruned.num_experts == 6
-        x = rng.normal(0, 1, (10, 32)).astype(np.float32)
-        assert pruned.route(x).indices.max() < 6
-
-    def test_survivor_weights_preserved(self, router):
-        pruned = router.drop_experts(np.array([0]))
-        assert np.array_equal(pruned.weight, router.weight[:, 1:])
-
-    def test_cannot_drop_all(self, router):
-        with pytest.raises(ValueError):
-            router.drop_experts(np.arange(8))
-
-    def test_top_k_capped(self, rng):
-        router = TopKRouter(16, 4, 3, rng=rng)
-        pruned = router.drop_experts(np.array([0, 1]))
-        assert pruned.top_k == 2
-
-
 # (num_experts, top_k): the Fig. 15 geometries (DeepSeek-VL2-Tiny/Small,
 # DeepSeek-VL2, MolmoE-1B), the routing-probe shape, a 160-expert router,
 # and the two boundary cases k == E and k == E - 1

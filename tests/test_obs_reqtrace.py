@@ -33,8 +33,7 @@ def preempting():
     obs = Instrumentation.on()
     perf = InferencePerfModel(get_model(MODEL), H100_SXM,
                               instrumentation=obs)
-    engine = ServingEngine(perf, kv_pool_tokens=2048, instrumentation=obs,
-                           rng=np.random.default_rng(0))
+    engine = ServingEngine(perf, kv_pool_tokens=2048, instrumentation=obs)
     for i in range(8):
         engine.submit(Request(
             request_id=i, prompt_tokens=400,

@@ -46,14 +46,6 @@ class TestRouterSubscription:
         np.testing.assert_array_equal(plain.indices, observed.indices)
         np.testing.assert_allclose(plain.weights, observed.weights)
 
-    def test_dropped_router_has_no_observers(self):
-        router = make_router()
-        telem = RoutingTelemetry(1, 8)
-        telem.subscribe_router(router, 0)
-        pruned = router.drop_experts(np.array([0, 1]))
-        pruned.route(np.zeros((4, 16), dtype=np.float32))
-        assert telem.heatmap().sum() == 0  # observer did not carry over
-
 
 class TestLayerSubscription:
     def test_moe_layer_streams_routing(self):

@@ -115,28 +115,3 @@ class TestThroughputModel:
         with pytest.raises(ValueError):
             SpeculativeDecodingModel(QWEN3_30B_A3B, QWEN3_1_7B, H100_SXM,
                                      num_draft_tokens=0)
-
-
-class TestFunctionalAcceptanceLink:
-    def test_agreement_measures_acceptance(self):
-        """The functional engine closes the loop: top-1 agreement between a
-        'draft' and a 'target' IS the per-token acceptance rate, and
-        feeding it to the closed form bounds expected tokens/cycle."""
-        from repro.evals.tasks import AgreementTask
-        from repro.models.zoo import get_model
-        from repro.moe.model import MoETransformer
-
-        cfg = get_model("OLMoE-1B-7B").scaled(1 / 32)
-        target = MoETransformer(cfg, seed=0, max_positions=64)
-        # same weights, quantized: a high-agreement 'draft'
-        draft = MoETransformer(cfg, seed=0, max_positions=64,
-                               weight_dtype="fp8_e4m3")
-        res = AgreementTask("probe", batch=32, seq_len=12).evaluate(target, draft)
-        alpha = res.top1_agreement
-        assert alpha > 0.4
-        e = expected_tokens_per_cycle(min(alpha, 0.99), 4)
-        assert 1.0 < e <= 5.0
-        # an unrelated draft agrees far less -> fewer tokens per cycle
-        stranger = MoETransformer(cfg, seed=99, max_positions=64)
-        res2 = AgreementTask("probe", batch=32, seq_len=12).evaluate(target, stranger)
-        assert res2.top1_agreement < alpha

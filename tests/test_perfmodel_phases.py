@@ -227,3 +227,26 @@ class TestGoldenBreakdown:
         finally:
             stepcache.configure(enabled=enabled)
             stepcache.clear()
+
+
+class TestStepProfile:
+    def test_shares_sum_to_one(self):
+        steps = StepModel(OLMOE_1B_7B, H100_SXM)
+        bd = steps.step_breakdown(16, 16, 1024, "decode")
+        assert sum(bd.shares().values()) == pytest.approx(1.0)
+
+    def test_describe_renders(self):
+        steps = StepModel(OLMOE_1B_7B, H100_SXM)
+        bd = steps.step_breakdown(16, 16, 1024, "decode")
+        text = bd.describe()
+        assert text.startswith("decode step:")
+        assert "moe_ffn" in text
+        assert "|#" in text
+
+    def test_decode_profile_dominated_by_moe(self):
+        """For an all-MoE model at moderate batch, expert streaming should
+        be the top component of decode time."""
+        steps = StepModel(OLMOE_1B_7B, H100_SXM)
+        bd = steps.step_breakdown(16, 16, 1024, "decode")
+        shares = bd.shares()
+        assert shares["moe_ffn"] == max(shares.values())

@@ -17,7 +17,7 @@ from repro.moe.routing_math import expected_expert_coverage, expected_group_imba
 from repro.optim.speculative import expected_tokens_per_cycle, simulate_accepted_tokens
 from repro.serving.kv_cache import PagedKVCache
 from repro.tensor.dtypes import quantize_dequantize, quantize_fp8
-from repro.tensor.functional import causal_mask, softmax, top_k_indices
+from repro.tensor.functional import softmax, top_k_indices
 
 _settings = settings(max_examples=50, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -66,14 +66,6 @@ class TestFunctionalProperties:
         for row in idx:
             assert len(set(row.tolist())) == k
             assert (row >= 0).all() and (row < n).all()
-
-    @given(st.integers(1, 16), st.integers(0, 16))
-    @_settings
-    def test_causal_mask_row_counts(self, q_len, extra):
-        kv_len = q_len + extra
-        m = causal_mask(q_len, kv_len)
-        # row i allows exactly extra + i + 1 positions
-        assert m.sum(axis=1).tolist() == [extra + i + 1 for i in range(q_len)]
 
 
 class TestRouterProperties:

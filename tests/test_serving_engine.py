@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.hardware.gpus import H100_SXM
@@ -114,17 +113,6 @@ class TestArrivalsAndContention:
         pm = InferencePerfModel(MIXTRAL_8X7B, H100_SXM)  # weights > 80GB
         with pytest.raises(ValueError, match="OOM"):
             ServingEngine(pm)
-
-    def test_early_eos(self, olmoe_pm):
-        eng = ServingEngine(olmoe_pm, rng=np.random.default_rng(0))
-        eng.submit(Request(
-            request_id=0, prompt_tokens=64,
-            sampling=SamplingParams(max_tokens=500, ignore_eos=False,
-                                    eos_probability=0.2),
-        ))
-        res = eng.run()
-        assert res.requests[0].is_finished
-        assert res.requests[0].generated_tokens < 500
 
 
 class TestThroughputAccounting:

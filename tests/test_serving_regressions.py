@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import deque
 
-import numpy as np
 import pytest
 
 from tests.invariants import drain_checked
@@ -90,7 +89,6 @@ class TestChunkedPrefillDeadlock:
                 policy="decode_first",
             ),
             kv_pool_tokens=1024,
-            rng=np.random.default_rng(0),
         )
         for i in range(6):
             engine.submit(Request(
@@ -113,7 +111,6 @@ class TestRecomputeTokenConservation:
             perf,
             scheduler_config=SchedulerConfig(max_num_seqs=8),
             kv_pool_tokens=768,
-            rng=np.random.default_rng(0),
         )
         for i in range(5):
             engine.submit(Request(
@@ -134,7 +131,6 @@ class TestRecomputeTokenConservation:
             perf,
             scheduler_config=SchedulerConfig(max_num_seqs=8),
             kv_pool_tokens=768,
-            rng=np.random.default_rng(0),
         )
         for i in range(5):
             engine.submit(Request(

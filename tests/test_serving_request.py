@@ -11,8 +11,6 @@ class TestSamplingParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             SamplingParams(max_tokens=0)
-        with pytest.raises(ValueError):
-            SamplingParams(max_tokens=4, eos_probability=1.5)
 
 
 class TestRequest:

@@ -70,43 +70,3 @@ class TestPerfEffects:
         at_window = steps.decode_step_time(8, 4096)
         far_beyond = steps.decode_step_time(8, 32768)
         assert far_beyond == pytest.approx(at_window, rel=0.02)
-
-
-class TestFunctionalWindow:
-    def test_causal_mask_window(self):
-        from repro.tensor.functional import causal_mask
-
-        m = causal_mask(4, 4, sliding_window=2)
-        # row i attends to positions {i-1, i}
-        assert m[0].tolist() == [True, False, False, False]
-        assert m[3].tolist() == [False, False, True, True]
-
-    def test_mask_window_with_cache_offset(self):
-        from repro.tensor.functional import causal_mask
-
-        m = causal_mask(1, 10, sliding_window=3)
-        assert m[0].tolist() == [False] * 7 + [True] * 3
-
-    def test_attention_honors_window(self, rng):
-        """Far-past tokens must not influence a windowed query."""
-        import dataclasses
-
-        import numpy as np
-
-        from repro.models.config import AttentionConfig
-        from repro.tensor.attention import Attention
-
-        cfg = AttentionConfig(num_heads=2, num_kv_heads=2, head_dim=8,
-                              sliding_window=3)
-        attn = Attention(cfg, 16, rng, max_positions=32)
-        x = rng.normal(0, 1, (1, 8, 16)).astype(np.float32)
-        out1 = attn(x)
-        x2 = x.copy()
-        x2[0, 0] += 5.0  # perturb a token outside the last query's window
-        out2 = attn(x2)
-        assert np.allclose(out1[0, -1], out2[0, -1], atol=1e-5)
-        # but inside-window history still matters
-        x3 = x.copy()
-        x3[0, -2] += 5.0
-        out3 = attn(x3)
-        assert not np.allclose(out1[0, -1], out3[0, -1], atol=1e-3)

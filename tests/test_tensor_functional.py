@@ -6,12 +6,6 @@ import numpy as np
 import pytest
 
 from repro.tensor.functional import (
-    apply_rope,
-    causal_mask,
-    gelu,
-    log_softmax,
-    rms_norm,
-    rope_frequencies,
     silu,
     softmax,
     swiglu,
@@ -30,10 +24,6 @@ class TestSoftmax:
         assert np.isfinite(out).all()
         assert out[0, 1] > out[0, 0]
 
-    def test_log_softmax_consistent(self, rng):
-        x = rng.normal(0, 3, (5, 11))
-        assert np.allclose(np.exp(log_softmax(x)), softmax(x), atol=1e-6)
-
     def test_axis_argument(self, rng):
         x = rng.normal(0, 1, (3, 4))
         assert np.allclose(softmax(x, axis=0).sum(axis=0), 1.0, atol=1e-6)
@@ -45,60 +35,9 @@ class TestActivations:
         assert silu(np.array([100.0]))[0] == pytest.approx(100.0)
         assert silu(np.array([-100.0]))[0] == pytest.approx(0.0, abs=1e-6)
 
-    def test_gelu_known_values(self):
-        assert gelu(np.array([0.0]))[0] == 0.0
-        assert gelu(np.array([10.0]))[0] == pytest.approx(10.0, rel=1e-3)
-
     def test_swiglu_composition(self, rng):
         g, u = rng.normal(0, 1, 16), rng.normal(0, 1, 16)
         assert np.allclose(swiglu(g, u), silu(g) * u)
-
-
-class TestRMSNorm:
-    def test_unit_rms_output(self, rng):
-        x = rng.normal(0, 7, (3, 32)).astype(np.float32)
-        w = np.ones(32, dtype=np.float32)
-        out = rms_norm(x, w)
-        rms = np.sqrt(np.mean(out**2, axis=-1))
-        assert np.allclose(rms, 1.0, atol=1e-3)
-
-    def test_weight_scales(self, rng):
-        x = rng.normal(0, 1, (2, 8)).astype(np.float32)
-        w = np.full(8, 2.0, dtype=np.float32)
-        assert np.allclose(rms_norm(x, w), 2 * rms_norm(x, np.ones(8, np.float32)))
-
-
-class TestRoPE:
-    def test_rotation_preserves_norm(self, rng):
-        phases = rope_frequencies(16, 64)
-        x = rng.normal(0, 1, (2, 8, 16)).astype(np.float32)
-        rotated = apply_rope(x, phases, np.arange(8))
-        assert np.allclose(
-            np.linalg.norm(rotated, axis=-1), np.linalg.norm(x, axis=-1), atol=1e-4
-        )
-
-    def test_position_zero_is_identity(self, rng):
-        phases = rope_frequencies(8, 16)
-        x = rng.normal(0, 1, (1, 1, 8)).astype(np.float32)
-        assert np.allclose(apply_rope(x, phases, np.array([0])), x, atol=1e-6)
-
-    def test_relative_property(self, rng):
-        """<rope(q,m), rope(k,n)> depends only on m-n."""
-        d = 16
-        phases = rope_frequencies(d, 128)
-        q = rng.normal(0, 1, d).astype(np.float32)
-        k = rng.normal(0, 1, d).astype(np.float32)
-
-        def dot(m, n):
-            qm = apply_rope(q[None, None], phases, np.array([m]))[0, 0]
-            kn = apply_rope(k[None, None], phases, np.array([n]))[0, 0]
-            return float(qm @ kn)
-
-        assert dot(3, 1) == pytest.approx(dot(10, 8), abs=1e-4)
-
-    def test_odd_head_dim_rejected(self):
-        with pytest.raises(ValueError):
-            rope_frequencies(7, 16)
 
 
 class TestTopK:
@@ -126,23 +65,3 @@ class TestTopK:
         x = rng.normal(0, 1, (3, 4))
         idx = top_k_indices(x, 4)
         assert set(idx[0].tolist()) == {0, 1, 2, 3}
-
-
-class TestCausalMask:
-    def test_square_is_lower_triangular(self):
-        m = causal_mask(4, 4)
-        assert np.array_equal(m, np.tril(np.ones((4, 4), bool)))
-
-    def test_decode_row_attends_everything(self):
-        m = causal_mask(1, 9)
-        assert m.all()
-
-    def test_offset_alignment(self):
-        m = causal_mask(2, 5)
-        # first query is the 4th token: attends positions 0..3
-        assert m[0].tolist() == [True, True, True, True, False]
-        assert m[1].all()
-
-    def test_kv_shorter_than_q_rejected(self):
-        with pytest.raises(ValueError):
-            causal_mask(5, 3)

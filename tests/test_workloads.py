@@ -11,8 +11,6 @@ from repro.workloads.generator import (
     PAPER_SEQUENCE_LENGTHS,
     FixedShapeWorkload,
     LengthDistribution,
-    synthetic_hidden_states,
-    synthetic_token_ids,
 )
 from repro.workloads.multimodal import (
     BALANCED_ROUTER_BIAS_STD,
@@ -71,30 +69,6 @@ class TestLengthDistribution:
     def test_sample_validation(self, rng):
         with pytest.raises(ValueError):
             LengthDistribution().sample(0, rng)
-
-
-class TestSynthetic:
-    def test_hidden_states(self, rng):
-        x = synthetic_hidden_states(rng, 10, 32)
-        assert x.shape == (10, 32)
-        assert x.dtype == np.float32
-
-    def test_token_ids_in_vocab(self, rng):
-        ids = synthetic_token_ids(rng, 4, 16, vocab_size=100)
-        assert ids.shape == (4, 16)
-        assert ids.min() >= 0 and ids.max() < 100
-
-    def test_token_ids_zipf_skew(self, rng):
-        ids = synthetic_token_ids(rng, 1, 20_000, vocab_size=1000)
-        counts = np.bincount(ids.ravel(), minlength=1000)
-        # Zipf: the most common token dominates the median one
-        assert counts.max() > 20 * np.median(counts[counts > 0])
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            synthetic_hidden_states(rng, 0, 8)
-        with pytest.raises(ValueError):
-            synthetic_token_ids(rng, 1, 4, vocab_size=1)
 
 
 class TestTraces:
